@@ -8,9 +8,11 @@ class ValidationError(ValueError):
 class ConvergenceError(RuntimeError):
     """Raised when an iterative solver fails to reach its tolerance.
 
-    Carries the last residual so callers can report how far the iteration got.
+    Carries the last residual and, where tracked, the iteration count, so
+    callers can report how far the iteration got.
     """
 
-    def __init__(self, message: str, residual: float):
+    def __init__(self, message: str, residual: float, iterations: int | None = None):
         super().__init__(f"{message} (residual={residual:.3e})")
         self.residual = residual
+        self.iterations = iterations

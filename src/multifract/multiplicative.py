@@ -23,9 +23,8 @@ from .symbolic import (
     semigroup_elements,
     semigroup_reciprocal_tail,
 )
+from .thermo import fixed_point, operator_step
 
-_FIXED_POINT_TOL = 1e-14
-_FIXED_POINT_CAP = 100_000
 _BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 states enumerated
 
 
@@ -67,21 +66,15 @@ def kps_solution(automaton: PrefixAutomaton, q: int) -> KpsSolution:
     """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
-    table = automaton.transition_table()
-    nstates = len(automaton.states)
-    children = [[t for t in row if t >= 0] for row in table]
-    t = np.ones(nstates)
-    residual = math.inf
-    for _ in range(_FIXED_POINT_CAP):
-        image = np.array([sum(t[c] for c in children[s]) for s in range(nstates)]) ** (1.0 / q)
-        residual = float(np.max(np.abs(image - t)) / np.max(image))
-        t = image
-        if residual < _FIXED_POINT_TOL:
-            break
-    else:
-        raise ConvergenceError("state fixed point did not converge", residual)
+    t, residual, _ = fixed_point(*_state_operator(automaton), q, "on the automaton states")
     root = automaton.state_index()[automaton.initial]
     return KpsSolution(t=t, t_root=float(t[root]), q=q, m=automaton.m, residual=residual)
+
+
+def _state_operator(automaton: PrefixAutomaton) -> tuple[np.ndarray, np.ndarray]:
+    """0/1 weights (symbol enabled) and child states of the transition table, -1 masked to 0."""
+    table = np.array(automaton.transition_table())
+    return (table >= 0).astype(float), np.maximum(table, 0)
 
 
 def kps_hausdorff(automaton: PrefixAutomaton, q: int, m: int | None = None) -> float:
@@ -211,9 +204,7 @@ def psss_solution(
     bound t <= m^{l_K * tail} -- brackets log_m t(root); the depth grows
     until the bracket is below `target`.
     """
-    table = automaton.transition_table()
-    nstates = len(automaton.states)
-    children = [[t for t in row if t >= 0] for row in table]
+    weights, child = _state_operator(automaton)
     m = automaton.m
     gamma = gamma_of_semigroup(spec)
     root = automaton.state_index()[automaton.initial]
@@ -227,18 +218,14 @@ def psss_solution(
             continue
         tail = max(semigroup_reciprocal_tail(spec, elems), 0.0)
         closures = (
-            np.ones(nstates),
-            np.full(nstates, float(m) ** min(elems[depth - 1] * (tail + 1.0 / elems[depth]), 60.0)),
+            np.ones(len(weights)),
+            np.full(len(weights), float(m) ** min(elems[depth - 1] * (tail + 1.0 / elems[depth]), 60.0)),
         )
         roots = []
         for t in closures:
-            t = t.copy()
             for k in range(depth - 1, 0, -1):  # level k uses ratio l_{k+1}/l_k
-                ratio = elems[k] / elems[k - 1]  # elems is 0-based: elems[k-1] = l_k
-                image = np.array([sum(t[c] for c in children[s]) for s in range(nstates)])
-                t = image ** (1.0 / ratio)
-            t_root = (sum(t[c] for c in children[root])) ** (1.0 / gamma)
-            roots.append(t_root)
+                t = operator_step(weights, child, t, elems[k] / elems[k - 1])  # elems[k-1] = l_k
+            roots.append(operator_step(weights, child, t, 1)[root] ** (1.0 / gamma))
         lo, hi = sorted(math.log(r) / math.log(m) for r in roots)
         if hi - lo < target:
             return PsssSolution(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
@@ -38,7 +38,6 @@ class Potential:
     q: int
     d: int
     table: np.ndarray
-    _cache: dict = field(default_factory=dict, repr=False, compare=False, hash=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -140,15 +139,17 @@ class PsiSolution:
     """Positive level functions psi^(k) on A^k for k = 1..d-1 at parameter s.
 
     levels[k] is a flat array of length m^k indexed by the base-m code of the
-    word a_1..a_k (a_1 most significant). `shift` records the constant that was
-    subtracted from the potential before solving; the pressure accounts for it.
+    word a_1..a_k (a_1 most significant). `kernel` is the stochastic kernel
+    K = W psi[child] / psi^q on level d-1; `pressure` and `derivative` are P(s), P'(s).
     """
 
     s: float
     levels: dict[int, np.ndarray]
+    kernel: np.ndarray
     residual: float
     iterations: int
-    shift: float
+    pressure: float
+    derivative: float
 
 
 @dataclass(frozen=True)
@@ -186,91 +187,98 @@ class MarkovMeasureSpec:
         return mat
 
 
-def _operator_data(potential: Potential, s: float):
-    """Weights exp(s*(phi - shift)) arranged as (m^{d-1}, m), plus shifted-child codes."""
+def _operator_data(potential: Potential):
+    """Centered table phi - shift as (m^{d-1}, m), the shifted-child codes, and the shift."""
     m, d = potential.m, potential.d
     shift = 0.5 * (potential.alpha_min + potential.alpha_max)
     phi = potential.table.reshape(m ** (d - 1), m) - shift
-    weights = np.exp(s * phi)
     codes = np.arange(m ** (d - 1))
     # (a_1..a_{d-1}) -> code of (a_2..a_{d-1}, j): drop leading digit, append j
     tcodes = (codes % (m ** (d - 2))) * m
     child = tcodes[:, None] + np.arange(m)[None, :]
-    return weights, child, shift
+    return phi, child, shift
 
 
-def solve_psi(potential: Potential, s: float) -> PsiSolution:
-    """Fixed point of psi -> (L_s psi)^(1/q), started from psi = 1.
+def operator_step(weights: np.ndarray, child: np.ndarray, psi: np.ndarray, q: float) -> np.ndarray:
+    """Image (sum_j weights[u, j] psi[child[u, j]])^(1/q) of psi under psi^q = W psi, per row u."""
+    return (weights * psi[child]).sum(axis=1) ** (1.0 / q)
 
-    The potential is centered before exponentiation; the recorded shift is
-    added back by :func:`pressure`.
+
+def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str):
+    """Fixed point of :func:`operator_step` from psi = 1, as (psi, residual, iterations).
+
+    Raises ConvergenceError naming `where` on the first non-finite iterate or at the cap.
     """
-    if not math.isfinite(s):
-        raise ValidationError(f"s must be finite, got {s}")
-    cache = potential._cache
-    if s in cache:
-        return cache[s]
-    m, q, d = potential.m, potential.q, potential.d
-    weights, child, shift = _operator_data(potential, s)
-    psi = np.ones(m ** (d - 1))
-    residual = math.inf
+    psi = np.ones(len(weights))
     for it in range(1, _FIXED_POINT_CAP + 1):
-        image = (weights * psi[child]).sum(axis=1) ** (1.0 / q)
+        image = operator_step(weights, child, psi, q)
         residual = float(np.max(np.abs(image - psi)) / np.max(image))
         psi = image
         if residual < _FIXED_POINT_TOL:
-            break
-    else:
-        raise ConvergenceError(
-            f"fixed-point iteration did not converge at s={s}", residual
-        )
+            return psi, residual, it
+        if not math.isfinite(residual):
+            raise ConvergenceError(f"non-finite fixed-point iterate {where}", residual, it)
+    raise ConvergenceError(f"fixed-point iteration did not converge {where}", residual, it)
+
+
+def solve_psi(potential: Potential, s: float) -> PsiSolution:
+    """Fixed point of psi -> (L_s psi)^(1/q) from psi = 1, with P(s) and exact P'(s).
+
+    Every call solves afresh. The solver works with the midrange-centered
+    table phi - c; the fixed point rescales by kappa = exp(-s c / (q-1)), which
+    shifts the raw pressure by exactly -s c, so P gets s c back and P' gets c.
+    Differentiating the fixed point, g = d log psi / ds solves the linear
+    system g = K (phi + g[child]) / q with K the stochastic kernel (I - K/q is
+    invertible as K/q has norm 1/q); g is then carried up the levels with psi.
+    """
+    if not math.isfinite(s):
+        raise ValidationError(f"s must be finite, got {s}")
+    m, q, d = potential.m, potential.q, potential.d
+    phi, child, shift = _operator_data(potential)
+    weights = np.exp(s * phi)
+    psi, residual, iterations = fixed_point(weights, child, q, f"at s={s}")
+    kernel = weights * psi[child] / (psi**q)[:, None]
+    trans = np.zeros((len(psi),) * 2)
+    np.put_along_axis(trans, child, kernel / q, axis=1)
+    g = np.linalg.solve(np.eye(len(psi)) - trans, (kernel * phi).sum(axis=1) / q)
     levels = {d - 1: psi}
     for k in range(d - 2, 0, -1):
         upper = levels[k + 1].reshape(m**k, m)
         levels[k] = upper.sum(axis=1) ** (1.0 / q)
-    sol = PsiSolution(s=s, levels=levels, residual=residual, iterations=it, shift=shift)
-    cache[s] = sol
-    return sol
+        g = (upper * g.reshape(m**k, m)).sum(axis=1) / (q * upper.sum(axis=1))
+    scale = (q - 1) * q ** (d - 2)
+    total = levels[1].sum()
+    return PsiSolution(
+        s, levels, kernel, residual, iterations,
+        pressure=scale * math.log(total) + s * shift,
+        derivative=scale * float(levels[1] @ g / total) + shift,
+    )
 
 
 def operator_residual(potential: Potential, sol: PsiSolution) -> float:
     """Sup-norm defect of the fixed-point equation at the solution, relative."""
-    weights, child, _ = _operator_data(potential, sol.s)
+    phi, child, _ = _operator_data(potential)
     psi = sol.levels[potential.d - 1]
-    image = (weights * psi[child]).sum(axis=1) ** (1.0 / potential.q)
+    image = operator_step(np.exp(sol.s * phi), child, psi, potential.q)
     return float(np.max(np.abs(image - psi)) / np.max(np.abs(psi)))
 
 
 def pressure(potential: Potential, s: float) -> float:
-    """(q-1) q^{d-2} log sum_j psi_s(j), corrected for the internal centering.
-
-    The solver works with the midrange-centered table phi - c; the fixed
-    point rescales by kappa = exp(-s c / (q-1)), which shifts the raw
-    pressure by exactly -s c, so adding s c back recovers P for phi itself.
-    """
-    q, d = potential.q, potential.d
-    sol = solve_psi(potential, s)
-    level1 = sol.levels[1]
-    return (q - 1) * q ** (d - 2) * math.log(level1.sum()) + s * sol.shift
+    """P(s) = (q-1) q^{d-2} log sum_j psi_s(j) for the potential itself (see :func:`solve_psi`)."""
+    return solve_psi(potential, s).pressure
 
 
 def pressure_derivative(potential: Potential, s: float) -> float:
-    """P'(s) by Richardson-extrapolated central differences."""
-    h = 1e-4 * max(1.0, abs(s))
-    coarse = (pressure(potential, s + h) - pressure(potential, s - h)) / (2 * h)
-    fine = (pressure(potential, s + h / 2) - pressure(potential, s - h / 2)) / h
-    return (4 * fine - coarse) / 3
+    """P'(s), exact by implicit differentiation of the fixed point (see :func:`solve_psi`)."""
+    return solve_psi(potential, s).derivative
 
 
 def level_domain(potential: Potential) -> tuple[float, float]:
-    """Numerical approximation [P'(-S), P'(+S)] of the attainable levels at S=40.
+    """[P'(-S), P'(+S)] at the horizon S = ENDPOINT_S: the levels bisection can reach.
 
-    The true endpoints are the limits s -> +/-inf; the values here are the
-    finite-s approximations and slightly inside the limit interval.
+    The attainable levels extend to the limits of P' as s -> +/-inf; up to
+    rounding, the horizon values fall short of them by e^{-O(S)}.
     """
-    if potential.is_constant:
-        c = potential.alpha_min
-        return (c, c)
     return (
         pressure_derivative(potential, -ENDPOINT_S),
         pressure_derivative(potential, ENDPOINT_S),
@@ -278,16 +286,20 @@ def level_domain(potential: Potential) -> tuple[float, float]:
 
 
 def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
-    """s with P'(s) = alpha, or None when alpha is outside the sampled range."""
+    """s in [-ENDPOINT_S, ENDPOINT_S] with P'(s) = alpha, or None when P' misses alpha there.
+
+    The bracket doubles outward from [-1, 1] and is capped at the horizon,
+    so every alpha inside :func:`level_domain` is bracketed; then bisection.
+    """
     lo, hi = -1.0, 1.0
     while pressure_derivative(potential, lo) > alpha:
-        lo *= 2
-        if lo < -ENDPOINT_S:
+        if lo <= -ENDPOINT_S:
             return None
+        lo = max(2 * lo, -ENDPOINT_S)
     while pressure_derivative(potential, hi) < alpha:
-        hi *= 2
-        if hi > ENDPOINT_S:
+        if hi >= ENDPOINT_S:
             return None
+        hi = min(2 * hi, ENDPOINT_S)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         if pressure_derivative(potential, mid) < alpha:
@@ -303,15 +315,15 @@ def legendre_spectrum(potential: Potential, alpha: float) -> float:
     """Normalized Hausdorff spectrum (P(s_a) - s_a * alpha) / (q^{d-1} log m).
 
     Returns NaN (the out-of-domain marker) when no level set exists at alpha.
-    Values at the extreme ends of the domain are resolved at |s| = 40 and are
-    extrapolations of the true endpoint limits.
+    Levels between the horizon :func:`level_domain` and the hard bounds
+    [min phi, max phi] are evaluated at the horizon s = +/-ENDPOINT_S, not at
+    the s -> +/-inf limit.
     """
     if potential.is_constant:
         return 1.0 if alpha == potential.alpha_min else OUT_OF_DOMAIN
     lo, hi = level_domain(potential)
     if alpha < lo or alpha > hi:
         if potential.alpha_min <= alpha <= potential.alpha_max:
-            # between the |s|=40 horizon and the hard bound: clamp to the horizon
             s_end = -ENDPOINT_S if alpha < lo else ENDPOINT_S
             return (pressure(potential, s_end) - s_end * alpha) / (
                 potential.q ** (potential.d - 1) * math.log(potential.m)
@@ -327,8 +339,8 @@ def legendre_spectrum(potential: Potential, alpha: float) -> float:
 def ruelle_dimension(potential: Potential, s: float) -> float:
     """Dimension (in [0,1]) of the telescopic measure built from psi_s."""
     q, d, m = potential.q, potential.d, potential.m
-    value = pressure(potential, s) - s * pressure_derivative(potential, s)
-    return value / (q ** (d - 1) * math.log(m))
+    sol = solve_psi(potential, s)
+    return (sol.pressure - s * sol.derivative) / (q ** (d - 1) * math.log(m))
 
 
 def markov_measure(potential: Potential, s: float) -> MarkovMeasureSpec:
@@ -347,10 +359,7 @@ def markov_measure(potential: Potential, s: float) -> MarkovMeasureSpec:
         prev = lev
     # transition kernel from context (a_1..a_{d-1}) to appended symbol j;
     # both pi and the kernel are invariant under the internal centering shift
-    weights, child, _ = _operator_data(potential, s)
-    psi = sol.levels[order]
-    kernel = weights * psi[child] / (psi**q)[:, None]
-    return MarkovMeasureSpec(m=m, order=order, initial=pi, kernel=kernel)
+    return MarkovMeasureSpec(m=m, order=order, initial=pi, kernel=sol.kernel)
 
 
 @dataclass(frozen=True)
@@ -379,8 +388,9 @@ class PressureCurve:
 
 def pressure_curve(potential: Potential, s_grid) -> PressureCurve:
     s_grid = np.asarray(s_grid, dtype=float)
-    P = np.array([pressure(potential, s) for s in s_grid])
-    dP = np.array([pressure_derivative(potential, s) for s in s_grid])
+    sols = [solve_psi(potential, s) for s in s_grid]
+    P = np.array([sol.pressure for sol in sols])
+    dP = np.array([sol.derivative for sol in sols])
     norm = potential.q ** (potential.d - 1) * math.log(potential.m)
     dim = (P - s_grid * dP) / norm
     return PressureCurve(s=s_grid, P=P, dP=dP, dim=dim)

@@ -100,30 +100,23 @@ def test_criterion_01_closed_form_spectrum_d3_as_stated():
         assert subset.accepts(word) == forced, word
     dim_subset = multiplicative.kps_hausdorff(subset, 2, m=2)
     stated_at_one = 1 - 1 / 3 + entropy(1.0) / (3 * LOG2)
+    # the endpoints alpha = +/-1: the N = 4 form gives 3/4 there, and each
+    # level set contains the subset above or its sign flip
+    ends = [thermo.legendre_spectrum(thermo.rademacher_potential(q, d), a) for a in (-1.0, 1.0)]
     ok = (
         worst < 1e-6
         and worst_32 < 1e-6
         and abs(dim_subset - 0.75) < 1e-12
         and stated_at_one < dim_subset
+        and all(abs(v - 0.75) < 1e-9 and v >= dim_subset - 1e-12 for v in ends)
     )
     report(
         "1 (d=3, normaliser q^(d-1))",
         ok,
         f"max_err={worst:.3g}, (q,d)=(3,2) N=3 max_err={worst_32:.3g}, "
-        f"dim_H(alpha=1 subset)={dim_subset!r} > stated {stated_at_one:.6f}",
+        f"dim_H(alpha=1 subset)={dim_subset!r} > stated {stated_at_one:.6f}, "
+        f"spectrum at alpha=-1, 1: {ends}",
     )
-
-
-def test_criterion_01_closed_form_spectrum_d3_quarter_normalization():
-    # the depth-3 pipeline satisfies the 1 - 1/4 + H/(4 log 2) form to
-    # machine precision; this documents what the machinery actually produces
-    phi = thermo.rademacher_potential(2, 3)
-    worst = 0.0
-    for a in np.linspace(-0.95, 0.95, 101):
-        got = thermo.legendre_spectrum(phi, float(a))
-        want = 1 - 0.25 + entropy((1 + a) / 2) / (4 * LOG2)
-        worst = max(worst, abs(got - want))
-    report("1 (d=3, 1/4 form)", worst < 1e-6, f"max_err={worst:.3g}")
 
 
 def test_criterion_02_x2_hausdorff():

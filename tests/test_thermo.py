@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifract import thermo
-from multifract.errors import ValidationError
+from multifract.errors import ConvergenceError, ValidationError
 
 LOG2 = math.log(2)
 
@@ -51,11 +51,12 @@ class TestPressure:
 
     def test_case_d2_closed_form(self):
         # independent closed form: P(s) = log(2 cosh s) + log 2 for the
-        # two-letter product-of-signs potential at depth two
+        # two-letter product-of-signs potential at depth two, so P'(s) = tanh s
         phi = thermo.rademacher_potential(2, 2)
         for s in (-2.0, -0.5, 0.0, 1.0, 3.0):
             want = math.log(2 * math.cosh(s)) + LOG2
             assert thermo.pressure(phi, s) == pytest.approx(want, abs=1e-12)
+            assert thermo.pressure_derivative(phi, s) == pytest.approx(math.tanh(s), abs=1e-13)
 
     def test_shift_covariance(self):
         phi = thermo.indicator_potential(2, 2)
@@ -77,6 +78,14 @@ class TestPressure:
         for phi in (thermo.indicator_potential(2, 2), thermo.rademacher_potential(2, 3)):
             values = np.array([thermo.pressure(phi, float(s)) for s in grid])
             assert thermo.convexity_defect(values) >= -1e-9
+
+    def test_overflow_fails_fast(self):
+        # range 150: exp(s * (phi - 25)) overflows once 75 |s| > 709, so at
+        # |s| = 10 and at the horizon s = +/-40 where every spectrum query starts
+        phi = thermo.Potential.from_values(2, 2, 2, [[0.0, 100.0], [3.0, -50.0]])
+        with pytest.raises(ConvergenceError, match="s=") as info:
+            thermo.legendre_spectrum(phi, 1.0)
+        assert info.value.iterations < 10
 
     @given(s=st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
