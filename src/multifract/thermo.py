@@ -140,12 +140,17 @@ class PsiSolution:
 
     levels[k] is a flat array of length m^k indexed by the base-m code of the
     word a_1..a_k (a_1 most significant). `kernel` is the stochastic kernel
-    K = W psi[child] / psi^q on level d-1; `pressure` and `derivative` are P(s), P'(s).
+    K = W psi[child] / psi^q on level d-1 and `tangent` the tangent
+    g = d log psi / ds on that level; `pressure` and `derivative` are P(s),
+    P'(s). P''(s) is not stored: :func:`pressure_second_derivative` builds it
+    from `kernel` and `tangent` for the slope solver, so a forward solve pays
+    for no second linear system.
     """
 
     s: float
     levels: dict[int, np.ndarray]
     kernel: np.ndarray
+    tangent: np.ndarray
     residual: float
     iterations: int
     pressure: float
@@ -176,16 +181,6 @@ class MarkovMeasureSpec:
         object.__setattr__(self, "initial", pi)
         object.__setattr__(self, "kernel", ker)
 
-    def transition_matrix(self) -> np.ndarray:
-        """Kernel as a (m^order x m^order) matrix over context codes."""
-        n = self.m**self.order
-        mat = np.zeros((n, n))
-        for u in range(n):
-            for j in range(self.m):
-                v = (u % self.m ** (self.order - 1)) * self.m + j if self.order > 0 else 0
-                mat[u, v] += self.kernel[u, j]
-        return mat
-
 
 def _operator_data(potential: Potential):
     """Centered table phi - shift as (m^{d-1}, m), the shifted-child codes, and the shift."""
@@ -210,15 +205,24 @@ def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str):
     Raises ConvergenceError naming `where` on the first non-finite iterate or at the cap.
     """
     psi = np.ones(len(weights))
-    for it in range(1, _FIXED_POINT_CAP + 1):
-        image = operator_step(weights, child, psi, q)
-        residual = float(np.max(np.abs(image - psi)) / np.max(image))
-        psi = image
-        if residual < _FIXED_POINT_TOL:
-            return psi, residual, it
-        if not math.isfinite(residual):
-            raise ConvergenceError(f"non-finite fixed-point iterate {where}", residual, it)
+    # overflow and inf/inf reach the explicit non-finite check, not numpy's warnings
+    with np.errstate(all="ignore"):
+        for it in range(1, _FIXED_POINT_CAP + 1):
+            image = operator_step(weights, child, psi, q)
+            residual = float(np.max(np.abs(image - psi)) / np.max(image))
+            psi = image
+            if residual < _FIXED_POINT_TOL:
+                return psi, residual, it
+            if not math.isfinite(residual):
+                raise ConvergenceError(f"non-finite fixed-point iterate {where}", residual, it)
     raise ConvergenceError(f"fixed-point iteration did not converge {where}", residual, it)
+
+
+def _tangent_matrix(kernel: np.ndarray, child: np.ndarray, q: float) -> np.ndarray:
+    """I - K/q over level d-1 codes: the matrix of the tangent systems for g and h."""
+    trans = np.zeros((len(kernel),) * 2)
+    np.put_along_axis(trans, child, kernel / q, axis=1)
+    return np.eye(len(kernel)) - trans
 
 
 def solve_psi(potential: Potential, s: float) -> PsiSolution:
@@ -235,12 +239,12 @@ def solve_psi(potential: Potential, s: float) -> PsiSolution:
         raise ValidationError(f"s must be finite, got {s}")
     m, q, d = potential.m, potential.q, potential.d
     phi, child, shift = _operator_data(potential)
-    weights = np.exp(s * phi)
+    with np.errstate(all="ignore"):
+        weights = np.exp(s * phi)
     psi, residual, iterations = fixed_point(weights, child, q, f"at s={s}")
     kernel = weights * psi[child] / (psi**q)[:, None]
-    trans = np.zeros((len(psi),) * 2)
-    np.put_along_axis(trans, child, kernel / q, axis=1)
-    g = np.linalg.solve(np.eye(len(psi)) - trans, (kernel * phi).sum(axis=1) / q)
+    tangent = np.linalg.solve(_tangent_matrix(kernel, child, q), (kernel * phi).sum(axis=1) / q)
+    g = tangent
     levels = {d - 1: psi}
     for k in range(d - 2, 0, -1):
         upper = levels[k + 1].reshape(m**k, m)
@@ -249,7 +253,7 @@ def solve_psi(potential: Potential, s: float) -> PsiSolution:
     scale = (q - 1) * q ** (d - 2)
     total = levels[1].sum()
     return PsiSolution(
-        s, levels, kernel, residual, iterations,
+        s, levels, kernel, tangent, residual, iterations,
         pressure=scale * math.log(total) + s * shift,
         derivative=scale * float(levels[1] @ g / total) + shift,
     )
@@ -273,8 +277,37 @@ def pressure_derivative(potential: Potential, s: float) -> float:
     return solve_psi(potential, s).derivative
 
 
+def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
+    """P''(s) at the solution `sol`, exact, at the cost of one more linear solve.
+
+    Differentiating the tangent system g = K (phi + g[child]) / q once more,
+    h = d^2 log psi / ds^2 solves (I - K/q) h = Var_K(phi + g[child]) / q,
+    the variance taken per row u under K[u]; the variance is formed as a sum
+    of squares, so h and P'' are >= 0 up to the solve's rounding. Up the
+    levels h_k = (E_w[h_{k+1}] + Var_w[g_{k+1}]) / q with w proportional to
+    psi_{k+1} in each block of m, and P'' = (q-1) q^{d-2} (E_w[h_1] + Var_w[g_1]).
+    """
+    m, q, d = potential.m, potential.q, potential.d
+    phi, child, _ = _operator_data(potential)
+    g = sol.tangent
+    spread = phi + g[child] - q * g[:, None]
+    h = np.linalg.solve(
+        _tangent_matrix(sol.kernel, child, q), (sol.kernel * spread**2).sum(axis=1) / q
+    )
+    # level 0 is psi_0^q = sum_j psi_1(j): one block, and P = (q-1) q^{d-1} log psi_0
+    for k in range(d - 2, -1, -1):
+        w = sol.levels[k + 1].reshape(m**k, m)
+        w = w / w.sum(axis=1, keepdims=True)
+        g = g.reshape(m**k, m)
+        mean = (w * g).sum(axis=1)
+        var = (w * (g - mean[:, None]) ** 2).sum(axis=1)
+        h = ((w * h.reshape(m**k, m)).sum(axis=1) + var) / q
+        g = mean / q
+    return (q - 1) * q ** (d - 1) * float(h[0])
+
+
 def level_domain(potential: Potential) -> tuple[float, float]:
-    """[P'(-S), P'(+S)] at the horizon S = ENDPOINT_S: the levels bisection can reach.
+    """[P'(-S), P'(+S)] at the horizon S = ENDPOINT_S: the levels the slope solve can reach.
 
     The attainable levels extend to the limits of P' as s -> +/-inf; up to
     rounding, the horizon values fall short of them by e^{-O(S)}.
@@ -289,26 +322,37 @@ def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
     """s in [-ENDPOINT_S, ENDPOINT_S] with P'(s) = alpha, or None when P' misses alpha there.
 
     The bracket doubles outward from [-1, 1] and is capped at the horizon,
-    so every alpha inside :func:`level_domain` is bracketed; then bisection.
+    so every alpha inside :func:`level_domain` is bracketed. Newton steps
+    s <- s - (P'(s) - alpha) / P''(s) on the exact P'' then start from the
+    secant point of the bracket; each step that would leave the bracket, or
+    meets P'' <= 0, is replaced by bisection, and every solve shrinks the
+    bracket. It stops when the Newton step falls below 1e-12 (relative to
+    max(1, |s|)) or the bracket is that narrow.
     """
     lo, hi = -1.0, 1.0
-    while pressure_derivative(potential, lo) > alpha:
+    while (f_lo := pressure_derivative(potential, lo)) > alpha:
         if lo <= -ENDPOINT_S:
             return None
         lo = max(2 * lo, -ENDPOINT_S)
-    while pressure_derivative(potential, hi) < alpha:
+    while (f_hi := pressure_derivative(potential, hi)) < alpha:
         if hi >= ENDPOINT_S:
             return None
         hi = min(2 * hi, ENDPOINT_S)
+    s = lo if f_hi == f_lo else lo + (alpha - f_lo) * (hi - lo) / (f_hi - f_lo)
     for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if pressure_derivative(potential, mid) < alpha:
-            lo = mid
+        sol = solve_psi(potential, s)
+        if sol.derivative < alpha:
+            lo = s
         else:
-            hi = mid
+            hi = s
+        curvature = pressure_second_derivative(potential, sol)
+        step = (sol.derivative - alpha) / curvature if curvature > 0 else math.inf
+        if abs(step) < 1e-12 * max(1.0, abs(s)):
+            return s - step
+        s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
         if hi - lo < 1e-12 * max(1.0, abs(lo) + abs(hi)):
             break
-    return 0.5 * (lo + hi)
+    return s
 
 
 def legendre_spectrum(potential: Potential, alpha: float) -> float:

@@ -63,12 +63,14 @@ class TestSpectrumCommand:
     def test_bad_grid_is_config_error(self):
         assert run(["spectrum", "--potential", "rademacher", "--grid", "0:1:1"]) == cli.EXIT_CONFIG
 
-    def test_overflow_is_numeric_error(self, tmp_path):
+    def test_overflow_is_numeric_error(self, tmp_path, capfd):
         cfg = tmp_path / "phi.json"
         cfg.write_text(
             thermo.Potential.from_values(2, 2, 2, [[0.0, 100.0], [3.0, -50.0]]).to_json()
         )
         assert run(["spectrum", "--config", str(cfg), "--grid=-10:10:5"]) == cli.EXIT_NUMERIC
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_no_partial_output_on_bad_config(self, tmp_path):
         out = tmp_path / "curve.csv"

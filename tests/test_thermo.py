@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -73,6 +74,25 @@ class TestPressure:
             secant = (thermo.pressure(phi, s + h) - thermo.pressure(phi, s - h)) / (2 * h)
             assert thermo.pressure_derivative(phi, s) == pytest.approx(secant, abs=1e-7)
 
+    def test_second_derivative_closed_form(self):
+        # P'(s) = tanh s on the depth-two product of signs, so P''(s) = sech^2 s
+        phi = thermo.rademacher_potential(2, 2)
+        for s in (-3.0, -0.7, 0.0, 0.4, 2.5):
+            curvature = thermo.pressure_second_derivative(phi, thermo.solve_psi(phi, s))
+            assert curvature == pytest.approx(1.0 / math.cosh(s) ** 2, abs=1e-13)
+
+    def test_second_derivative_matches_central_difference(self):
+        # central difference of the exact P' on a random three-letter depth-three table
+        rng = np.random.default_rng(20141)
+        phi = thermo.Potential(m=3, q=2, d=3, table=rng.uniform(-1.0, 1.0, (3, 3, 3)))
+        h = 1e-5
+        for s in (-2.0, -0.3, 0.8, 2.6):
+            central = (
+                thermo.pressure_derivative(phi, s + h) - thermo.pressure_derivative(phi, s - h)
+            ) / (2 * h)
+            curvature = thermo.pressure_second_derivative(phi, thermo.solve_psi(phi, s))
+            assert curvature == pytest.approx(central, abs=1e-7)
+
     def test_convexity(self):
         grid = np.linspace(-6, 6, 121)
         for phi in (thermo.indicator_potential(2, 2), thermo.rademacher_potential(2, 3)):
@@ -82,9 +102,12 @@ class TestPressure:
     def test_overflow_fails_fast(self):
         # range 150: exp(s * (phi - 25)) overflows once 75 |s| > 709, so at
         # |s| = 10 and at the horizon s = +/-40 where every spectrum query starts
+        # the explicit non-finite check is the only report: numpy warns of nothing
         phi = thermo.Potential.from_values(2, 2, 2, [[0.0, 100.0], [3.0, -50.0]])
-        with pytest.raises(ConvergenceError, match="s=") as info:
-            thermo.legendre_spectrum(phi, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ConvergenceError, match="s=") as info:
+                thermo.legendre_spectrum(phi, 1.0)
         assert info.value.iterations < 10
 
     @given(s=st.floats(-5, 5))
@@ -131,6 +154,43 @@ class TestSpectrum:
                 assert thermo.ruelle_dimension(phi, s) == pytest.approx(
                     thermo.legendre_spectrum(phi, alpha), abs=1e-9
                 )
+
+    @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2)])
+    def test_solves_per_level(self, monkeypatch, q, d):
+        # Newton on the exact P'' from the secant point of the bracket, with
+        # level_domain, the bracket and the final pressure all counted
+        solves = 0
+        solve_psi = thermo.solve_psi
+
+        def counting(*args):
+            nonlocal solves
+            solves += 1
+            return solve_psi(*args)
+
+        monkeypatch.setattr(thermo, "solve_psi", counting)
+        phi = thermo.rademacher_potential(q, d)
+        for alpha in (-0.9, -0.3, 0.2, 0.95):
+            solves = 0
+            thermo.legendre_spectrum(phi, alpha)
+            assert solves <= 12, (alpha, solves)
+
+    @given(
+        m=st.sampled_from([2, 3]),
+        q=st.sampled_from([2, 3]),
+        d=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        s=st.floats(-3, 3),
+    )
+    @settings(max_examples=15, deadline=None)
+    def test_legendre_ruelle_duality_random_tables(self, m, q, d, seed, s):
+        # asymmetric P' curves are where a Newton step can leave the bracket
+        table = np.random.default_rng(seed).uniform(-1.0, 1.0, (m,) * d)
+        phi = thermo.Potential(m=m, q=q, d=d, table=table)
+        sol = thermo.solve_psi(phi, s)
+        assert thermo.pressure_second_derivative(phi, sol) >= 0.0
+        assert thermo.legendre_spectrum(phi, sol.derivative) == pytest.approx(
+            thermo.ruelle_dimension(phi, s), abs=1e-8
+        )
 
     def test_spectrum_within_unit_interval(self):
         phi = thermo.indicator_potential(2, 2)
