@@ -1,7 +1,7 @@
 """Multifractal spectra of multiple Birkhoff averages and related dimensions.
 
 Submodules:
-  symbolic       alphabets, index chains, semigroups, prefix automata
+  symbolic       words, index chains, semigroups, prefix automata
   thermo         nonlinear transfer operators, pressure, Legendre spectra
   telescopic     telescopic product measures, dimension, sampling
   multiplicative Hausdorff/box dimensions of multiplicatively invariant sets
@@ -10,7 +10,7 @@ Submodules:
   cli            command-line front end
 """
 
-from . import cli, multiplicative, riesz, symbolic, telescopic, thermo, walks
+from . import multiplicative, riesz, symbolic, telescopic, thermo, walks
 from .errors import ConvergenceError, ValidationError
 
 __all__ = [

@@ -44,6 +44,14 @@ def _read_config(path: str) -> str:
         raise ValidationError(f"cannot read config {path}: {e}") from e
 
 
+def _write(text: str, args) -> None:
+    """Write text to --out, or to stdout without it."""
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _emit(rows: list[dict], header: list[str], args) -> None:
     """Write rows as CSV or JSON, to --out or stdout, deterministically."""
     if args.format == "json":
@@ -58,10 +66,7 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
                 )
             )
         text = "\n".join(lines) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(text, args)
 
 
 def _load_potential(args) -> thermo.Potential:
@@ -93,11 +98,7 @@ def cmd_dims(args) -> int:
         primes = tuple(int(p) for p in args.semigroup.split(","))
         spec = symbolic.SemigroupSpec(primes)
     report = multiplicative.dims_report(automaton, q=args.q, spec=spec, tol=args.tol)
-    text = json.dumps(report, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(report, indent=2) + "\n", args)
     return EXIT_OK
 
 
@@ -154,11 +155,7 @@ def cmd_sample(args) -> int:
         base = telescopic.BaseMeasure.from_json(_read_config(args.measure))
     measure = telescopic.TelescopicMeasure(base=base, q=args.q)
     path = telescopic.sample(measure, args.n, args.seed)
-    line = "".join(str(int(a)) for a in path.symbols) + "\n"
-    if args.out:
-        Path(args.out).write_text(line)
-    else:
-        sys.stdout.write(line)
+    _write("".join(str(int(a)) for a in path.symbols) + "\n", args)
     return EXIT_OK
 
 
@@ -210,8 +207,7 @@ def _check_walk_closed_form() -> dict:
 def _check_level_set_sampling() -> dict:
     potential = thermo.indicator_potential(2, 2)
     s = thermo.solve_pressure_slope(potential, 0.5)
-    spec = thermo.markov_measure(potential, s)
-    base = telescopic.BaseMeasure.from_markov_spec(spec)
+    base = thermo.markov_measure(potential, s)
     measure = telescopic.TelescopicMeasure(base=base, q=2)
     n = 20_000
     devs = []
@@ -243,11 +239,7 @@ def cmd_verify(args) -> int:
         report["pass"] = bool(report["stat"] <= report["bound"])
         failures += not report["pass"]
         reports.append(report)
-    text = json.dumps(reports, indent=2) + "\n"
-    if args.out:
-        Path(args.out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(reports, indent=2) + "\n", args)
     return EXIT_VERIFY if failures else EXIT_OK
 
 
@@ -255,14 +247,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="multifract")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--out", default=None)
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--tol", type=float, default=1e-9)
-
     p = sub.add_parser("spectrum", help="pressure and spectrum curve over an s-grid")
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", default=None, help="potential JSON file")
     p.add_argument("--potential", choices=("indicator", "rademacher"), default=None)
     p.add_argument("--q", type=int, default=2)
@@ -270,34 +257,37 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default="-10:10:201")
 
     p = sub.add_parser("dims", help="Hausdorff and box dimensions of an automaton set")
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--config", required=True, help="prefix-automaton JSON file")
     p.add_argument("--q", type=int, default=None)
     p.add_argument("--semigroup", default=None, help="comma-separated primes")
 
     p = sub.add_parser("walk", help="oriented-walk spectrum")
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--system", required=True, help="case1, case2, or a JSON file")
     p.add_argument("--alpha", default=None, help="comma-separated drift vector")
     p.add_argument("--grid", default="-3:3:121", help="s-grid for 1-d systems")
 
     p = sub.add_parser("riesz", help="sample a Walsh-Riesz product path")
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--b", type=float, default=0.0)
     p.add_argument("--n", type=int, default=1000)
 
     p = sub.add_parser("sample", help="sample a telescopic-measure path")
-    common(p)
+    p.add_argument("--out", default=None)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", default="uniform", help="'uniform' or a base-measure JSON file")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n", type=int, default=10)
 
     p = sub.add_parser("verify", help="run the cross-check suite")
-    common(p)
+    p.add_argument("--out", default=None)
     p.add_argument("--only", default=None)
-    p.add_argument("--n", type=int, default=None)
     return parser
 
 

@@ -23,6 +23,7 @@ from .symbolic import (
     semigroup_elements,
     semigroup_reciprocal_tail,
 )
+from .telescopic import series_depth
 from .thermo import fixed_point, operator_step
 
 _BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 states enumerated
@@ -83,23 +84,12 @@ def kps_hausdorff(automaton: PrefixAutomaton, q: int, m: int | None = None) -> f
     return kps_solution(automaton, q).dimension
 
 
-def box_series_depth(q: int, tol: float) -> int:
-    """First truncation depth whose tail bound (with log_m counts <= k) is < tol."""
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    x = 1.0 / q
-    depth = 1
-    while (q - 1) ** 2 * x ** (depth + 2) * ((depth + 1) - depth * x) / (1 - x) ** 2 >= tol:
-        depth += 1
-    return depth
-
-
 def kps_box(automaton: PrefixAutomaton, q: int, m: int | None = None, tol: float = 1e-10) -> float:
     """(q-1)^2 sum_k log_m |Pref_k| / q^{k+1}, truncated with a rigorous tail bound."""
     _check_m(automaton, m)
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
-    depth = box_series_depth(q, tol)
+    depth = series_depth(q, tol)
     counts = prefix_counts_up_to(automaton, depth)
     logm = math.log(automaton.m)
     total = sum(math.log(counts[k]) / logm / q ** (k + 1) for k in range(1, depth + 1))
@@ -117,18 +107,16 @@ def fibonacci_numbers(count: int) -> list[int]:
 def fibonacci_box_x2(tol: float = 1e-6) -> float:
     """Box dimension of the doubling constraint set: (1/(2 log 2)) sum log F_n / 2^n.
 
-    Truncated once the closed-form tail bound (log F_n <= n log 2 eventually,
-    via F_n <= 2 * phi^n) drops below tol.
+    Truncated once the closed-form tail bound, from log F_n <= log 2 + n log phi
+    (F_n <= 2 * phi^n), drops below tol. Kept as an oracle independent of
+    :func:`kps_box`.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
     phi = (1 + math.sqrt(5)) / 2
-    # tail sum_{n>N} log(2 phi^n)/2^n <= (log 2 + (N+2) log phi) * 2^{-N} etc.
+    # tail sum_{n>N} log(2 phi^n)/2^n = (log 2 + (N+2) log phi) / 2^N
     depth = 1
-    while True:
-        tail = sum(math.log(2 * phi**n) / 2**n for n in range(depth + 1, depth + 200))
-        if tail / (2 * math.log(2)) < tol:
-            break
+    while (math.log(2) + (depth + 2) * math.log(phi)) / 2**depth / (2 * math.log(2)) >= tol:
         depth += 1
     fib = fibonacci_numbers(depth)
     return sum(math.log(fib[n]) / 2**n for n in range(1, depth + 1)) / (2 * math.log(2))

@@ -1,8 +1,8 @@
 """Symbolic-dynamics primitives.
 
-Alphabets, finite words, the geometric-progression partition of the positive
-integers, multiplicative semigroups generated by primes, and finite-state
-descriptions of prefix-closed generating sets with exact prefix counting.
+Finite words, the geometric-progression partition of the positive integers,
+multiplicative semigroups generated by primes, and finite-state descriptions
+of prefix-closed generating sets with exact prefix counting.
 Indices into sequences are 1-based throughout.
 """
 
@@ -10,24 +10,12 @@ from __future__ import annotations
 
 import heapq
 import json
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
 from .errors import ValidationError
 
 Word = tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class Alphabet:
-    """Symbol set {0, ..., m-1}."""
-
-    m: int
-
-    def __post_init__(self):
-        if self.m < 2:
-            raise ValidationError(f"alphabet needs at least 2 symbols, got m={self.m}")
 
 
 def check_word(word: Sequence[int], m: int) -> Word:
@@ -110,9 +98,6 @@ class SemigroupSpec:
                 raise ValidationError(f"generator {p} is not prime")
         if tuple(sorted(ps)) != ps:
             object.__setattr__(self, "primes", tuple(sorted(ps)))
-
-    def is_coprime(self, i: int) -> bool:
-        return all(i % p != 0 for p in self.primes)
 
 
 def semigroup_elements(spec: SemigroupSpec, bound: int) -> list[int]:
@@ -248,18 +233,7 @@ def prefix_count(automaton: PrefixAutomaton, k: int) -> int:
     """Number of admissible prefixes of length k, exact."""
     if k < 0:
         raise ValidationError(f"depth must be >= 0, got {k}")
-    table = automaton.transition_table()
-    counts = [0] * len(automaton.states)
-    counts[automaton.state_index()[automaton.initial]] = 1
-    for _ in range(k):
-        nxt = [0] * len(counts)
-        for s, c in enumerate(counts):
-            if c:
-                for t in table[s]:
-                    if t >= 0:
-                        nxt[t] += c
-        counts = nxt
-    return sum(counts)
+    return prefix_counts_up_to(automaton, k)[k]
 
 
 def reachable_states_by_level(automaton: PrefixAutomaton, depth: int) -> list[set[int]]:
@@ -370,7 +344,3 @@ def prefix_counts_up_to(automaton: PrefixAutomaton, depth: int) -> list[int]:
         counts = nxt
         out.append(sum(counts))
     return out
-
-
-def log_m(value: float | int, m: int) -> float:
-    return math.log(value) / math.log(m)

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
 from .errors import ValidationError
-from .symbolic import IndexChain, check_word, lambda_partition
-from .thermo import MarkovMeasureSpec, Potential
+from .symbolic import check_word, lambda_partition
+
+if TYPE_CHECKING:  # thermo imports this module for BaseMeasure
+    from .thermo import Potential
 
 _STOCHASTIC_TOL = 1e-12
 
@@ -75,7 +77,8 @@ class BaseMeasure:
         return cls.bernoulli(p)
 
     @classmethod
-    def from_markov_spec(cls, spec: MarkovMeasureSpec) -> "BaseMeasure":
+    def from_markov_spec(cls, spec: "BaseMeasure") -> "BaseMeasure":
+        """A copy of the Markov law `spec`, such as :func:`thermo.markov_measure` returns."""
         return cls(m=spec.m, order=spec.order, initial=spec.initial, kernel=spec.kernel)
 
     @classmethod
@@ -230,17 +233,27 @@ def dimension_tail_bound(q: int, depth: int) -> float:
     return (q - 1) ** 2 * tail
 
 
-def dimension(measure: TelescopicMeasure, tol: float = 1e-10) -> float:
-    """Entropy-series dimension (q-1)^2 / log m * sum_k H_k / q^{k+1}, in [0, 1].
+def series_depth(q: int, tol: float) -> int:
+    """First truncation depth whose :func:`dimension_tail_bound` is below tol.
 
-    Truncated at the first depth whose closed-form tail bound drops below tol.
+    Shared by the series (q-1)^2 sum_k a_k / q^{k+1} with a_k <= k: the
+    entropy series here (H_k in units of log m) and ``multiplicative.kps_box``.
     """
     if tol <= 0:
         raise ValidationError(f"tol must be > 0, got {tol}")
-    q, m = measure.q, measure.base.m
     depth = 1
     while dimension_tail_bound(q, depth) >= tol:
         depth += 1
+    return depth
+
+
+def dimension(measure: TelescopicMeasure, tol: float = 1e-10) -> float:
+    """Entropy-series dimension (q-1)^2 / log m * sum_k H_k / q^{k+1}, in [0, 1].
+
+    Truncated at :func:`series_depth`.
+    """
+    q, m = measure.q, measure.base.m
+    depth = series_depth(q, tol)
     total = 0.0
     for k in range(1, depth + 1):
         total += marginal_entropy(measure.base, k) / q ** (k + 1)

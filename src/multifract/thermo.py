@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .telescopic import BaseMeasure
 
 #: Returned by spectrum queries for levels whose level set is empty.
 OUT_OF_DOMAIN = float("nan")
@@ -155,31 +156,6 @@ class PsiSolution:
     iterations: int
     pressure: float
     derivative: float
-
-
-@dataclass(frozen=True)
-class MarkovMeasureSpec:
-    """A (d-1)-step Markov law: initial vector on A^{d-1} and a one-symbol kernel."""
-
-    m: int
-    order: int
-    initial: np.ndarray
-    kernel: np.ndarray  # shape (m^order, m): context code -> next-symbol law
-
-    def __post_init__(self):
-        pi = np.asarray(self.initial, dtype=float)
-        ker = np.asarray(self.kernel, dtype=float)
-        if pi.shape != (self.m**self.order,):
-            raise ValidationError(f"initial law must have length {self.m ** self.order}")
-        if ker.shape != (self.m**self.order, self.m):
-            raise ValidationError(f"kernel must have shape {(self.m ** self.order, self.m)}")
-        if abs(pi.sum() - 1.0) > 1e-12:
-            raise ValidationError(f"initial law sums to {pi.sum()}, not 1")
-        rows = ker.sum(axis=1)
-        if np.max(np.abs(rows - 1.0)) > 1e-12:
-            raise ValidationError("kernel rows must sum to 1 within 1e-12")
-        object.__setattr__(self, "initial", pi)
-        object.__setattr__(self, "kernel", ker)
 
 
 def _operator_data(potential: Potential):
@@ -387,7 +363,7 @@ def ruelle_dimension(potential: Potential, s: float) -> float:
     return (sol.pressure - s * sol.derivative) / (q ** (d - 1) * math.log(m))
 
 
-def markov_measure(potential: Potential, s: float) -> MarkovMeasureSpec:
+def markov_measure(potential: Potential, s: float) -> BaseMeasure:
     """The (d-1)-step Markov law (pi_s, Q_s) defined by the fixed point at s."""
     m, q, d = potential.m, potential.q, potential.d
     sol = solve_psi(potential, s)
@@ -403,7 +379,7 @@ def markov_measure(potential: Potential, s: float) -> MarkovMeasureSpec:
         prev = lev
     # transition kernel from context (a_1..a_{d-1}) to appended symbol j;
     # both pi and the kernel are invariant under the internal centering shift
-    return MarkovMeasureSpec(m=m, order=order, initial=pi, kernel=sol.kernel)
+    return BaseMeasure(m=m, order=order, initial=pi, kernel=sol.kernel)
 
 
 @dataclass(frozen=True)

@@ -16,6 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import riesz
 from .errors import ConvergenceError, ValidationError
 
 OUT_OF_DOMAIN = float("nan")
@@ -308,27 +309,18 @@ def walk_spectrum(system: WalkSystem, alpha) -> float:
     return (pressure(system, s) - float(s @ alpha)) / system.log_base
 
 
-def entropy(t: float) -> float:
-    """H(t) = -t log t - (1-t) log(1-t) on [0, 1]."""
-    if t < 0 or t > 1:
-        raise ValidationError(f"entropy argument must lie in [0,1], got {t}")
-    if t in (0.0, 1.0):
-        return 0.0
-    return -t * math.log(t) - (1 - t) * math.log(1 - t)
-
-
 def closed_form_case1(alpha: float) -> float:
     """Sign-flip walk spectrum H((1+alpha)/2) / log 2 for alpha in [-1, 1]."""
     if not -1.0 <= alpha <= 1.0:
         raise ValidationError(f"alpha must lie in [-1, 1], got {alpha}")
-    return entropy((1 + alpha) / 2) / math.log(2)
+    return riesz.entropy((1 + alpha) / 2) / math.log(2)
 
 
 def closed_form_case2(a: float, b: float) -> float:
     """Quarter-turn walk spectrum (H(1/2+a) + H(1/2+b)) / (2 log 2) on the half-square."""
     if abs(a) > 0.5 or abs(b) > 0.5:
         raise ValidationError(f"(a, b) must lie in [-1/2, 1/2]^2, got {(a, b)}")
-    return (entropy(0.5 + a) + entropy(0.5 + b)) / (2 * math.log(2))
+    return (riesz.entropy(0.5 + a) + riesz.entropy(0.5 + b)) / (2 * math.log(2))
 
 
 # -- evolution measure --

@@ -1,9 +1,17 @@
 import json
 import math
+import os
+import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from multifract import cli, symbolic, thermo
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(argv):
@@ -179,3 +187,43 @@ class TestVerifyCommand:
         for name in ("legendre-ruelle", "walk-closed-form"):
             assert run(["verify", "--only", name]) == 0
             assert json.loads(capsys.readouterr().out)[0]["pass"] is True
+
+
+class TestParser:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["dims", "--config", "fib.json", "--q", "2", "--format", "csv"],
+            ["spectrum", "--potential", "rademacher", "--tol", "1e-3"],
+            ["verify", "--n", "3"],
+            ["sample", "--format", "json"],
+        ],
+    )
+    def test_unread_option_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_readme_commands_parse(self):
+        readme = (ROOT / "README.md").read_text()
+        block = readme.split("## CLI", 1)[1].split("```sh", 1)[1].split("```", 1)[0]
+        commands = [
+            shlex.split(line, comments=True)
+            for line in block.splitlines()
+            if line.startswith("multifract ")
+        ]
+        assert commands
+        parser = cli.build_parser()
+        for argv in commands:
+            parser.parse_args(argv[1:])
+
+    def test_module_entry_point_is_silent(self):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "multifract.cli",
+             "sample", "--n", "10", "--seed", "1"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        assert len(proc.stdout.strip()) == 10

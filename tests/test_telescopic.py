@@ -111,6 +111,26 @@ class TestDimension:
         bounds = [telescopic.dimension_tail_bound(2, k) for k in (5, 10, 20)]
         assert bounds[0] > bounds[1] > bounds[2] > 0
 
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("tol", [1e-5, 1e-9, 1e-12])
+    def test_series_depth_is_first_depth_below_tol(self, q, tol):
+        depth = telescopic.series_depth(q, tol)
+        assert telescopic.dimension_tail_bound(q, depth) < tol
+        assert all(telescopic.dimension_tail_bound(q, k) >= tol for k in range(1, depth))
+
+    @pytest.mark.parametrize("tol", [0.0, -1e-9])
+    def test_series_depth_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValidationError):
+            telescopic.series_depth(2, tol)
+
+    def test_markov_measure_is_a_base_measure(self):
+        phi = thermo.indicator_potential(2, 3)
+        base = thermo.markov_measure(phi, 0.7)
+        assert isinstance(base, telescopic.BaseMeasure)
+        measure = telescopic.TelescopicMeasure(base=base, q=2)
+        got = telescopic.dimension(measure, tol=1e-12)
+        assert got == pytest.approx(thermo.ruelle_dimension(phi, 0.7), abs=1e-9)
+
     def test_marginal_entropy_matches_direct_sum(self):
         spec = thermo.markov_measure(thermo.indicator_potential(2, 2), 0.7)
         base = telescopic.BaseMeasure.from_markov_spec(spec)
