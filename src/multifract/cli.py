@@ -136,11 +136,12 @@ def cmd_walk(args) -> int:
 
 def cmd_riesz(args) -> int:
     measure = riesz.WalshRieszMeasure(d=args.d, b=args.b)
+    if args.n < args.d:
+        raise ValidationError(f"--n must be at least --d = {args.d} to average, got {args.n}")
     path = riesz.sample(measure, args.n, args.seed)
     if args.out:
         Path(args.out).write_text("\n".join("%+d" % u for u in path) + "\n")
-    n_avg = args.n // args.d
-    avg = riesz.walsh_average(path, args.d, n_avg) if n_avg >= 1 else float("nan")
+    avg = riesz.walsh_average(path, args.d, args.n // args.d)
     sys.stdout.write(
         json.dumps({"d": args.d, "b": args.b, "n": args.n, "seed": args.seed,
                     "empirical_average": avg}) + "\n"

@@ -3,7 +3,8 @@
 Hausdorff dimension via the per-state fixed-point system, box dimension via
 the prefix-count series, the exact product-formula count for the doubling
 constraint set, a brute-force counting oracle, and the semigroup
-generalization of both dimension formulas.
+generalization of both dimension formulas. Both box dimensions are one
+semigroup series (:func:`symbolic.series_weights`); KPS is its one-generator case.
 """
 
 from __future__ import annotations
@@ -21,9 +22,8 @@ from .symbolic import (
     lambda_partition,
     prefix_counts_up_to,
     semigroup_elements,
-    semigroup_reciprocal_tail,
+    series_weights,
 )
-from .telescopic import series_depth
 from .thermo import fixed_point, operator_step
 
 _BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 states enumerated
@@ -85,15 +85,17 @@ def kps_hausdorff(automaton: PrefixAutomaton, q: int, m: int | None = None) -> f
 
 
 def kps_box(automaton: PrefixAutomaton, q: int, m: int | None = None, tol: float = 1e-10) -> float:
-    """(q-1)^2 sum_k log_m |Pref_k| / q^{k+1}, truncated with a rigorous tail bound."""
+    """(q-1)^2 sum_k log_m |Pref_k| / q^{k+1}: the semigroup series of the one generator q."""
     _check_m(automaton, m)
-    if q < 2:
-        raise ValidationError(f"q must be >= 2, got {q}")
-    depth = series_depth(q, tol)
-    counts = prefix_counts_up_to(automaton, depth)
+    return _box_series(automaton, (q,), tol)
+
+
+def _box_series(automaton: PrefixAutomaton, generators: tuple[int, ...], tol: float) -> float:
+    """sum_k w_k log_m |Pref_k| over :func:`symbolic.series_weights`, from one prefix count."""
+    weights = series_weights(generators, tol)
+    counts = prefix_counts_up_to(automaton, len(weights))
     logm = math.log(automaton.m)
-    total = sum(math.log(counts[k]) / logm / q ** (k + 1) for k in range(1, depth + 1))
-    return (q - 1) ** 2 * total
+    return math.fsum(w * math.log(c) / logm for w, c in zip(weights, counts[1:]))
 
 
 def fibonacci_numbers(count: int) -> list[int]:
@@ -204,7 +206,7 @@ def psss_solution(
         if depth < 2:
             bound <<= 4
             continue
-        tail = max(semigroup_reciprocal_tail(spec, elems), 0.0)
+        tail = max(gamma - sum(1.0 / l for l in elems), 0.0)
         closures = (
             np.ones(len(weights)),
             np.full(len(weights), float(m) ** min(elems[depth - 1] * (tail + 1.0 / elems[depth]), 60.0)),
@@ -241,29 +243,9 @@ def psss_box(
     m: int | None = None,
     tol: float = 1e-10,
 ) -> float:
-    """gamma^{-1} sum_k (1/l_k - 1/l_{k+1}) log_m |Pref_k|, tail-bounded truncation."""
+    """gamma^{-1} sum_k (1/l_k - 1/l_{k+1}) log_m |Pref_k|, truncated at the first Abel tail below tol."""
     _check_m(automaton, m)
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    gamma = gamma_of_semigroup(spec)
-    bound = 1 << 16
-    while True:
-        elems = semigroup_elements(spec, bound)
-        depth = len(elems) - 1
-        # dropped terms k >= depth, bounded with log_m|Pref_k| <= k; by Abel
-        # summation sum_{k>=K} k (1/l_k - 1/l_{k+1}) = K/l_K + sum_{k>K} 1/l_k
-        tail = depth / elems[depth - 1] + semigroup_reciprocal_tail(spec, elems[:depth])
-        if depth >= 2 and tail / gamma < tol:
-            break
-        if bound > 1 << 62:
-            raise ConvergenceError("semigroup box series tail did not close", tail / gamma)
-        bound <<= 4
-    counts = prefix_counts_up_to(automaton, depth)
-    logm = math.log(automaton.m)
-    total = 0.0
-    for k in range(1, depth):
-        total += (1.0 / elems[k - 1] - 1.0 / elems[k]) * math.log(counts[k]) / logm
-    return total / gamma
+    return _box_series(automaton, spec.primes, tol)
 
 
 def dims_report(

@@ -1,8 +1,9 @@
 """Symbolic-dynamics primitives.
 
 Finite words, the geometric-progression partition of the positive integers,
-multiplicative semigroups generated by primes, and finite-state descriptions
-of prefix-closed generating sets with exact prefix counting.
+multiplicative semigroups and the weights of their dimension series,
+finite-state descriptions of prefix-closed generating sets with exact prefix
+counting, and dense (kernel, child) transition matrices.
 Indices into sequences are 1-based throughout.
 """
 
@@ -10,8 +11,12 @@ from __future__ import annotations
 
 import heapq
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import takewhile
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -100,23 +105,25 @@ class SemigroupSpec:
             object.__setattr__(self, "primes", tuple(sorted(ps)))
 
 
+def _ascending_products(generators: Sequence[int]) -> Iterator[int]:
+    """1 and every product of the generators, ascending, each once (Hamming-number merge)."""
+    heap = [1]
+    seen = {1}
+    while True:
+        v = heapq.heappop(heap)
+        yield v
+        for p in generators:
+            w = v * p
+            if w not in seen:
+                seen.add(w)
+                heapq.heappush(heap, w)
+
+
 def semigroup_elements(spec: SemigroupSpec, bound: int) -> list[int]:
     """All products of the generators that are <= bound, ascending, starting at 1."""
     if bound < 1:
         raise ValidationError(f"bound must be >= 1, got {bound}")
-    # bounded merge of prime multiples (Hamming-number style)
-    out = []
-    heap = [1]
-    seen = {1}
-    while heap:
-        v = heapq.heappop(heap)
-        out.append(v)
-        for p in spec.primes:
-            w = v * p
-            if w <= bound and w not in seen:
-                seen.add(w)
-                heapq.heappush(heap, w)
-    return out
+    return list(takewhile(lambda v: v <= bound, _ascending_products(spec.primes)))
 
 
 def gamma_of_semigroup(spec: SemigroupSpec) -> float:
@@ -127,9 +134,37 @@ def gamma_of_semigroup(spec: SemigroupSpec) -> float:
     return g
 
 
-def semigroup_reciprocal_tail(spec: SemigroupSpec, elements: Sequence[int]) -> float:
-    """Tail of the reciprocal series after the listed leading elements."""
-    return gamma_of_semigroup(spec) - sum(1.0 / l for l in elements)
+def series_weights(generators: Sequence[int], tol: float) -> list[float]:
+    """Weights w_k = (1/l_k - 1/l_{k+1}) / gamma, k < K, of the semigroup series sum_k w_k a_k.
+
+    l_1 = 1 < l_2 < ... are the products of `generators` (one integer q >= 2,
+    or distinct primes) and gamma = sum_k 1/l_k = prod g/(g-1). With
+    0 <= a_k <= k, truncation before K drops at most the Abel tail
+    (K/l_K + sum_{k>K} 1/l_k) / gamma, and K is the first depth where it is
+    below tol. One generator q gives w_k = (q-1)^2/q^{k+1} and the tail
+    q^{-K} ((q-1) K + 1). The tail is compared in exact integer arithmetic,
+    so K is exact for every tol > 0, even below the rounding of gamma.
+    """
+    if tol <= 0:
+        raise ValidationError(f"tol must be > 0, got {tol}")
+    if len(generators) != 1 or generators[0] < 2:
+        SemigroupSpec(tuple(generators))  # raises unless distinct primes
+    g_num = math.prod(generators)  # gamma = g_num / g_den
+    g_den = math.prod(g - 1 for g in generators)
+    elements = _ascending_products(generators)
+    depth, l = 1, next(elements)
+    num = den = 1  # num / den = sum_{k <= depth} 1/l_k, with l_k | den
+    weights = []
+    # the tail test times gamma * den * g_den, all in integers but tol
+    while depth * (den // l) * g_den + g_num * den - num * g_den >= tol * (g_num * den):
+        nxt = next(elements)
+        weights.append((nxt - l) * g_den / (l * nxt * g_num))
+        if den % nxt:
+            lcm = math.lcm(den, nxt)
+            num, den = num * (lcm // den), lcm
+        num += den // nxt
+        depth, l = depth + 1, nxt
+    return weights
 
 
 @dataclass(frozen=True)
@@ -344,3 +379,15 @@ def prefix_counts_up_to(automaton: PrefixAutomaton, depth: int) -> list[int]:
         counts = nxt
         out.append(sum(counts))
     return out
+
+
+def transition_matrix(kernel: np.ndarray, child: np.ndarray) -> np.ndarray:
+    """Dense matrix of a (kernel, child) pair on n states: T[u, child[u, j]] += kernel[u, j].
+
+    kernel and child have shape (n, r) and child indexes the same n states;
+    children repeated within a row add up in the order of j.
+    """
+    n = len(child)
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (np.arange(n)[:, None], child), kernel)
+    return matrix

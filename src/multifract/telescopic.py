@@ -1,9 +1,10 @@
 """Telescopic product measures.
 
 A base measure on the symbol space is replicated independently across the
-chains {i q^j}; cylinder masses factor over the chains, the dimension is an
-entropy series, and sampling draws each chain from the base measure with a
-counter-based seeded generator.
+chains {i q^j}; cylinder masses factor over the chains, the dimension is the
+box dimensions' one semigroup series (:func:`symbolic.series_weights`) for
+the one generator q with a_k = H_k / log m, and sampling draws each chain
+from the base measure with a counter-based seeded generator.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import TYPE_CHECKING, Sequence
 import numpy as np
 
 from .errors import ValidationError
-from .symbolic import check_word, lambda_partition
+from .symbolic import check_word, lambda_partition, series_weights, transition_matrix
 
 if TYPE_CHECKING:  # thermo imports this module for BaseMeasure
     from .thermo import Potential
@@ -131,10 +132,9 @@ class BaseMeasure:
         for a in w[: self.order]:
             code = code * self.m + a
         mass = float(self.initial[code])
-        ctx_mod = self.m ** max(self.order - 1, 0)
         for a in w[self.order :]:
             mass *= float(self.kernel[code, a])
-            code = (code % ctx_mod) * self.m + a if self.order > 0 else 0
+            code = (code * self.m + a) % len(self.kernel)  # the last `order` symbols
         return mass
 
     def word_masses(self, k: int) -> np.ndarray:
@@ -187,77 +187,49 @@ def cylinder_mass(measure: TelescopicMeasure, u: Sequence[int]) -> float:
     return mass
 
 
-def marginal_entropy(base: BaseMeasure, k: int) -> float:
-    """Entropy (natural log) of the length-k marginal, by context DP.
+def _entropy(p: np.ndarray) -> float:
+    p = p[p > 0]
+    return float(-(p * np.log(p)).sum())
 
-    For k beyond the Markov order the chain rule applies: the conditional
-    law at each step depends only on the current context, so the entropy
-    accumulates the context-averaged kernel entropy while the context
-    distribution evolves. No m^k enumeration is needed.
+
+def marginal_entropies_up_to(base: BaseMeasure, depth: int) -> list[float]:
+    """[H_0, ..., H_depth], entropies (natural log) of the length-k marginals, in one sweep.
+
+    Beyond the Markov order the chain rule applies: the entropy accumulates
+    the context-averaged kernel entropy while the context law evolves, so no
+    m^k enumeration is needed.
     """
+    if depth < 0:
+        raise ValidationError(f"depth must be >= 0, got {depth}")
+    out = [0.0] + [_entropy(p) for p in base.prefix_marginals()[1 : depth + 1]]
+    h = _entropy(base.initial)
+    kernel_entropy = np.array([_entropy(row) for row in base.kernel])
+    n = len(base.kernel)  # context u emits j and moves to context (u m + j) mod m^order
+    transition = transition_matrix(base.kernel, (np.arange(n)[:, None] * base.m + np.arange(base.m)) % n)
+    context = base.initial
+    for _ in range(base.order, depth):
+        h += float(context @ kernel_entropy)
+        out.append(h)
+        context = context @ transition
+    return out
+
+
+def marginal_entropy(base: BaseMeasure, k: int) -> float:
+    """Entropy (natural log) of the length-k marginal, by :func:`marginal_entropies_up_to`."""
     if k < 1:
         raise ValidationError(f"k must be >= 1, got {k}")
-
-    def _entropy(p: np.ndarray) -> float:
-        p = p[p > 0]
-        return float(-(p * np.log(p)).sum())
-
-    if k <= base.order:
-        return _entropy(base.prefix_marginals()[k])
-    h = _entropy(base.initial)
-    kernel_entropy = np.array(
-        [_entropy(row) for row in base.kernel]
-    )
-    context = base.initial.copy()
-    transition = None
-    for _ in range(base.order, k):
-        h += float(context @ kernel_entropy)
-        if transition is None:
-            n = len(context)
-            transition = np.zeros((n, n))
-            for u in range(n):
-                for j in range(base.m):
-                    v = (u % base.m ** max(base.order - 1, 0)) * base.m + j if base.order > 0 else 0
-                    transition[u, v] += base.kernel[u, j]
-        context = context @ transition
-    return h
-
-
-def dimension_tail_bound(q: int, depth: int) -> float:
-    """Bound on the dropped series tail after `depth` terms, using H_k <= k log m.
-
-    (q-1)^2 * sum_{k > depth} k / q^{k+1}, in closed form.
-    """
-    x = 1.0 / q
-    tail = x ** (depth + 2) * ((depth + 1) - depth * x) / (1 - x) ** 2
-    return (q - 1) ** 2 * tail
-
-
-def series_depth(q: int, tol: float) -> int:
-    """First truncation depth whose :func:`dimension_tail_bound` is below tol.
-
-    Shared by the series (q-1)^2 sum_k a_k / q^{k+1} with a_k <= k: the
-    entropy series here (H_k in units of log m) and ``multiplicative.kps_box``.
-    """
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
-    depth = 1
-    while dimension_tail_bound(q, depth) >= tol:
-        depth += 1
-    return depth
+    return marginal_entropies_up_to(base, k)[k]
 
 
 def dimension(measure: TelescopicMeasure, tol: float = 1e-10) -> float:
     """Entropy-series dimension (q-1)^2 / log m * sum_k H_k / q^{k+1}, in [0, 1].
 
-    Truncated at :func:`series_depth`.
+    Truncated at the first depth whose tail bound, with H_k <= k log m, is
+    below tol (:func:`symbolic.series_weights` for the one generator q).
     """
-    q, m = measure.q, measure.base.m
-    depth = series_depth(q, tol)
-    total = 0.0
-    for k in range(1, depth + 1):
-        total += marginal_entropy(measure.base, k) / q ** (k + 1)
-    return (q - 1) ** 2 / math.log(m) * total
+    weights = series_weights((measure.q,), tol)
+    entropies = marginal_entropies_up_to(measure.base, len(weights))
+    return math.fsum(w * h for w, h in zip(weights, entropies[1:])) / math.log(measure.base.m)
 
 
 def _chain_lengths(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -289,7 +261,6 @@ def sample(measure: TelescopicMeasure, n: int, seed: int) -> SamplePath:
     out = np.empty(n, dtype=np.int64)
     marginals = base.prefix_marginals()
     context = np.zeros(len(bases), dtype=np.int64)
-    ctx_mod = base.m ** max(base.order - 1, 0)
     for level in range(levels):
         active = lengths > level  # chains sorted by base, active is a prefix
         count = int(active.sum())
@@ -309,9 +280,8 @@ def sample(measure: TelescopicMeasure, n: int, seed: int) -> SamplePath:
         np.clip(symbols, 0, base.m - 1, out=symbols)
         positions = bases[:count] * q**level
         out[positions - 1] = symbols
-        if base.order > 0:
-            full = level + 1 >= base.order
-            context[:count] = (ctx % ctx_mod) * base.m + symbols if full else ctx * base.m + symbols
+        if base.order > 0:  # code of the last min(level + 1, order) symbols
+            context[:count] = (ctx * base.m + symbols) % len(base.kernel)
     return SamplePath(symbols=out, seed=seed, n=n)
 
 

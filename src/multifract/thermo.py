@@ -16,6 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
+from .symbolic import transition_matrix
 from .telescopic import BaseMeasure
 
 #: Returned by spectrum queries for levels whose level set is empty.
@@ -196,9 +197,7 @@ def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str):
 
 def _tangent_matrix(kernel: np.ndarray, child: np.ndarray, q: float) -> np.ndarray:
     """I - K/q over level d-1 codes: the matrix of the tangent systems for g and h."""
-    trans = np.zeros((len(kernel),) * 2)
-    np.put_along_axis(trans, child, kernel / q, axis=1)
-    return np.eye(len(kernel)) - trans
+    return np.eye(len(kernel)) - transition_matrix(kernel / q, child)
 
 
 def solve_psi(potential: Potential, s: float) -> PsiSolution:

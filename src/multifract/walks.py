@@ -18,6 +18,7 @@ import numpy as np
 
 from . import riesz
 from .errors import ConvergenceError, ValidationError
+from .symbolic import transition_matrix
 
 OUT_OF_DOMAIN = float("nan")
 
@@ -101,13 +102,8 @@ class WalkSystem:
     @cached_property
     def step_mask(self) -> np.ndarray:
         """mask[i, j] = 1 iff j - i is a step residue, shape (p, p)."""
-        mask = np.zeros((self.p, self.p))
-        residues = {a % self.p for a in self.steps}
-        for i in range(self.p):
-            for j in range(self.p):
-                if (j - i) % self.p in residues:
-                    mask[i, j] = 1.0
-        return mask
+        child = (np.arange(self.p)[:, None] + np.array(self.steps)) % self.p
+        return transition_matrix(np.ones(child.shape), child)
 
     @classmethod
     def from_json(cls, text: str) -> "WalkSystem":

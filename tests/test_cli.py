@@ -172,6 +172,17 @@ class TestSampleAndRiesz:
                  "--out", str(path)])
         assert a.read_bytes() == b.read_bytes()
 
+    def test_riesz_too_short_to_average(self, tmp_path, capfd):
+        # n // d = 0 leaves no block to average: a usage error, not NaN in the JSON
+        out = tmp_path / "path.txt"
+        assert run(["riesz", "--d", "3", "--n", "2", "--out", str(out)]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+            "error: --n must be at least --d = 3 to average, got 2"
+        ]
+        assert not out.exists()
+
 
 class TestVerifyCommand:
     def test_single_check(self, capsys):

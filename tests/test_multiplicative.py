@@ -100,14 +100,21 @@ class TestBoxCounting:
 
 class TestPsss:
     def test_kps_reduction(self):
-        # the semigroup <q> recovers the dyadic/triadic construction:
-        # t_psss = t_kps^{q/(q-1)} at the root
-        aut = symbolic.fibonacci_automaton()
-        for q in (2, 3):
-            spec = symbolic.SemigroupSpec(_first_prime(q))
-            kps = multiplicative.kps_hausdorff(aut, q)
-            psss = multiplicative.psss_hausdorff(aut, spec)
-            assert psss == pytest.approx(kps, abs=1e-8)
+        # the semigroup <q> recovers the KPS construction, t_psss = t_kps^{q/(q-1)}
+        # at the root: two solvers, one answer
+        automata = (
+            symbolic.fibonacci_automaton(),
+            symbolic.forbid_ones_run(3),
+            symbolic.even_ones_shift(),
+            symbolic.two_regular_ternary(),
+            symbolic.full_shift(3),
+            symbolic.full_shift(2),
+        )
+        for aut in automata:
+            for q in (2, 3, 5):
+                kps = multiplicative.kps_hausdorff(aut, q)
+                psss = multiplicative.psss_hausdorff(aut, symbolic.SemigroupSpec((q,)))
+                assert psss == pytest.approx(kps, abs=1e-10)
 
     def test_full_shift_dimension_one(self):
         aut = symbolic.full_shift(2)
@@ -135,7 +142,3 @@ class TestPsss:
         assert report["dim_H"] == pytest.approx(1.0, abs=1e-9)
         assert report["dim_B"] == pytest.approx(1.0, abs=1e-6)
         assert report["symmetric"] is True
-
-
-def _first_prime(q):
-    return (q,) if q in (2, 3, 5, 7) else (2,)

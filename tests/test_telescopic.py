@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -9,6 +10,28 @@ from multifract import symbolic, telescopic, thermo
 from multifract.errors import ValidationError
 
 LOG2 = math.log(2)
+
+
+def abel_tails(generators, depth):
+    """Elements l_1..l_{depth+1}, gamma, and the tail bound after D = 0..depth terms, exactly.
+
+    The tail is q^{-D-1} ((q-1)(D+1) + 1) in closed form for one generator q,
+    else (K/l_K + gamma - sum_{k<=K} 1/l_k) / gamma at K = D + 1 over the
+    products 2^a 3^b listed directly.
+    """
+    gamma = math.prod(Fraction(g, g - 1) for g in generators)
+    if len(generators) == 1:
+        q = generators[0]
+        elements = [q**j for j in range(depth + 1)]
+        return elements, gamma, [Fraction((q - 1) * (d + 1) + 1, q ** (d + 1)) for d in range(depth + 1)]
+    assert generators == (2, 3)
+    elements = sorted(2**a * 3**b for a in range(64) for b in range(41) if 2**a * 3**b < 2**63)
+    elements = elements[: depth + 1]
+    tails, partial = [], Fraction(0)
+    for k, l in enumerate(elements, 1):
+        partial += Fraction(1, l)
+        tails.append((Fraction(k, l) + gamma - partial) / gamma)
+    return elements, gamma, tails
 
 
 def brute_mass(measure, u):
@@ -108,20 +131,35 @@ class TestDimension:
         assert telescopic.dimension(measure, tol=1e-12) == pytest.approx(want, abs=1e-9)
 
     def test_tail_bound_decreases(self):
-        bounds = [telescopic.dimension_tail_bound(2, k) for k in (5, 10, 20)]
-        assert bounds[0] > bounds[1] > bounds[2] > 0
+        # with a_k = k, the bound itself, the series sums to 1, so 1 - sum_k w_k k
+        # is the Abel tail that the truncation drops
+        tols = (1e-3, 1e-6, 1e-9)
+        tails = [
+            1 - math.fsum(k * w for k, w in enumerate(symbolic.series_weights((2,), tol), 1))
+            for tol in tols
+        ]
+        assert tails[0] > tails[1] > tails[2] > 0
+        assert all(tail < tol for tail, tol in zip(tails, tols))
 
-    @pytest.mark.parametrize("q", [2, 3, 5])
+    @pytest.mark.parametrize("q", [2, 3, 5, 4, pytest.param((2, 3), id="2,3")])
     @pytest.mark.parametrize("tol", [1e-5, 1e-9, 1e-12])
     def test_series_depth_is_first_depth_below_tol(self, q, tol):
-        depth = telescopic.series_depth(q, tol)
-        assert telescopic.dimension_tail_bound(q, depth) < tol
-        assert all(telescopic.dimension_tail_bound(q, k) >= tol for k in range(1, depth))
+        generators = q if isinstance(q, tuple) else (q,)
+        weights = symbolic.series_weights(generators, tol)
+        depth = len(weights)  # K - 1 terms
+        elements, gamma, tails = abel_tails(generators, depth)
+        assert tails[depth] < tol
+        assert all(tail >= tol for tail in tails[:depth])
+        for k, w in enumerate(weights, 1):
+            want = (Fraction(1, elements[k - 1]) - Fraction(1, elements[k])) / gamma
+            if len(generators) == 1:
+                assert want == Fraction((q - 1) ** 2, q ** (k + 1))
+            assert abs(Fraction(w) - want) <= Fraction(math.ulp(w))
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_series_depth_rejects_nonpositive_tol(self, tol):
         with pytest.raises(ValidationError):
-            telescopic.series_depth(2, tol)
+            symbolic.series_weights((2,), tol)
 
     def test_markov_measure_is_a_base_measure(self):
         phi = thermo.indicator_potential(2, 3)
