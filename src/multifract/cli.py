@@ -32,6 +32,8 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as e:
         raise ValidationError(f"grid must be start:stop:count, got {text!r}") from e
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise ValidationError(f"grid endpoints must be finite, got {text!r}")
     if count < 2:
         raise ValidationError(f"grid count must be >= 2, got {count}")
     return np.linspace(start, stop, count)

@@ -69,7 +69,7 @@ def kps_solution(automaton: PrefixAutomaton, q: int) -> KpsSolution:
         raise ValidationError(f"q must be >= 2, got {q}")
     t, residual, _ = fixed_point(*_state_operator(automaton), q, "on the automaton states")
     root = automaton.state_index()[automaton.initial]
-    return KpsSolution(t=t, t_root=float(t[root]), q=q, m=automaton.m, residual=residual)
+    return KpsSolution(t=t, t_root=float(t[root]), q=q, m=automaton.m, residual=float(residual[0]))
 
 
 def _state_operator(automaton: PrefixAutomaton) -> tuple[np.ndarray, np.ndarray]:

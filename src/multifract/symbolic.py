@@ -384,10 +384,11 @@ def prefix_counts_up_to(automaton: PrefixAutomaton, depth: int) -> list[int]:
 def transition_matrix(kernel: np.ndarray, child: np.ndarray) -> np.ndarray:
     """Dense matrix of a (kernel, child) pair on n states: T[u, child[u, j]] += kernel[u, j].
 
-    kernel and child have shape (n, r) and child indexes the same n states;
-    children repeated within a row add up in the order of j.
+    child has shape (n, r) and indexes the same n states; kernel has shape
+    (..., n, r), and leading axes give a stack of matrices (..., n, n) over
+    the one child table. Children repeated within a row add up in the order of j.
     """
     n = len(child)
-    matrix = np.zeros((n, n))
-    np.add.at(matrix, (np.arange(n)[:, None], child), kernel)
+    matrix = np.zeros(kernel.shape[:-2] + (n, n))
+    np.add.at(matrix, (..., np.arange(n)[:, None], child), kernel)
     return matrix

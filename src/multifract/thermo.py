@@ -28,6 +28,10 @@ ENDPOINT_S = 40.0
 _FIXED_POINT_TOL = 1e-14
 _FIXED_POINT_CAP = 100_000
 
+#: Most elements S n (n + m) of one batched solve over S values of s on
+#: n = m^{d-1} codes: each stacked array (S, n, n) then takes at most 8 MB.
+_STACK_ELEMENTS = 1 << 20
+
 
 @dataclass(frozen=True)
 class Potential:
@@ -173,64 +177,145 @@ def _operator_data(potential: Potential):
 
 def operator_step(weights: np.ndarray, child: np.ndarray, psi: np.ndarray, q: float) -> np.ndarray:
     """Image (sum_j weights[u, j] psi[child[u, j]])^(1/q) of psi under psi^q = W psi, per row u."""
-    return (weights * psi[child]).sum(axis=1) ** (1.0 / q)
+    return np.add.reduce(weights * psi[child], axis=1) ** (1.0 / q)
 
 
-def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str):
-    """Fixed point of :func:`operator_step` from psi = 1, as (psi, residual, iterations).
+def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str | np.ndarray):
+    """Fixed points of S stacked systems psi^q = W psi from psi = 1: (psi, residual, iterations).
 
-    Raises ConvergenceError naming `where` on the first non-finite iterate or at the cap.
+    The S systems share the child codes `child` (n, m) and are laid out flat
+    as one block-diagonal system: system i owns rows i n .. (i+1) n - 1 of
+    `weights` (S n, m), and its child codes are offset by i n. Each iteration
+    is one :func:`operator_step` over the systems still active, with one
+    residual max|image - psi| / max image per system, over its own block. A
+    system is frozen at the iteration where that residual first drops below
+    the tolerance and leaves the active set, so each one ends bit for bit
+    where it would end alone. Returns psi (S n,), residual (S,) and
+    iterations (S,).
+
+    Raises ConvergenceError on the first non-finite iterate or at the cap,
+    naming the failing system by `where`: either a string label, or the
+    array of the S parameters s, when the error says `at s=<value>` and
+    carries that s as its `parameter`.
     """
+    n, width = child.shape
+    count = len(weights) // n
+    blocks = n * np.arange(count)  # first row of each active system
+    codes = (child + blocks[:, None, None]).reshape(-1, width)
+    psi_out, residual_out = np.empty(len(weights)), np.empty(count)
+    iterations_out = np.empty(count, dtype=int)
+    active = np.arange(count)  # the systems still iterating, in stack order
     psi = np.ones(len(weights))
+
+    def fail(message, i):
+        """ConvergenceError for the i-th active system at the current iteration."""
+        value = None if isinstance(where, str) else float(where[active[i]])
+        label = where if value is None else f"at s={value}"
+        return ConvergenceError(f"{message} {label}", float(residual[i]), it, value)
+
+    it = 0
     # overflow and inf/inf reach the explicit non-finite check, not numpy's warnings
     with np.errstate(all="ignore"):
-        for it in range(1, _FIXED_POINT_CAP + 1):
-            image = operator_step(weights, child, psi, q)
-            residual = float(np.max(np.abs(image - psi)) / np.max(image))
+        while len(active):
+            it += 1
+            image = operator_step(weights, codes, psi, q)
+            residual = np.maximum.reduceat(np.abs(image - psi), blocks) / np.maximum.reduceat(
+                image, blocks
+            )
             psi = image
-            if residual < _FIXED_POINT_TOL:
-                return psi, residual, it
-            if not math.isfinite(residual):
-                raise ConvergenceError(f"non-finite fixed-point iterate {where}", residual, it)
-    raise ConvergenceError(f"fixed-point iteration did not converge {where}", residual, it)
+            # one reduction per iteration (the ufunc, not the slower method): a NaN
+            # residual propagates through the minimum, and an inf one (a zero block)
+            # turns NaN on the next iteration
+            if not np.minimum.reduce(residual) >= _FIXED_POINT_TOL:
+                finite = np.isfinite(residual)
+                if not finite.all():
+                    raise fail("non-finite fixed-point iterate", int(np.argmin(finite)))
+                done = residual < _FIXED_POINT_TOL
+                frozen = active[done]
+                psi_out.reshape(count, n)[frozen] = psi.reshape(-1, n)[done]
+                residual_out[frozen] = residual[done]
+                iterations_out[frozen] = it
+                keep = ~done
+                active, residual = active[keep], residual[keep]
+                psi = psi.reshape(-1, n)[keep].ravel()
+                weights = weights.reshape(-1, n, width)[keep].reshape(-1, width)
+                blocks, codes = blocks[: len(active)], codes[: len(psi)]
+            if it == _FIXED_POINT_CAP and len(active):
+                raise fail("fixed-point iteration did not converge", 0)
+    return psi_out, residual_out, iterations_out
 
 
 def _tangent_matrix(kernel: np.ndarray, child: np.ndarray, q: float) -> np.ndarray:
-    """I - K/q over level d-1 codes: the matrix of the tangent systems for g and h."""
-    return np.eye(len(kernel)) - transition_matrix(kernel / q, child)
+    """I - K/q over level d-1 codes (one per leading index of `kernel`): the tangent matrix."""
+    return np.eye(len(child)) - transition_matrix(kernel / q, child)
+
+
+def _solve_stack(potential: Potential, s: np.ndarray):
+    """One :func:`fixed_point` call for every s of the 1-D array `s`, with P(s) and exact P'(s).
+
+    Returns (levels, kernel, tangent, residual, iterations, pressure,
+    derivative), each with a leading axis over s: levels[k] is (S, m^k),
+    kernel (S, m^{d-1}, m) and tangent (S, m^{d-1}). See :func:`solve_psi`.
+    """
+    bad = ~np.isfinite(s)
+    if bad.any():
+        raise ValidationError(f"s must be finite, got {float(s[bad][0])}")
+    m, q, d = potential.m, potential.q, potential.d
+    phi, child, shift = _operator_data(potential)
+    with np.errstate(all="ignore"):
+        weights = np.exp(s[:, None, None] * phi)
+    psi, residual, iterations = fixed_point(weights.reshape(-1, m), child, q, s)
+    psi = psi.reshape(len(s), len(child))
+    kernel = weights * psi[:, child] / (psi**q)[:, :, None]
+    rhs = (kernel * phi).sum(axis=2) / q
+    tangent = np.linalg.solve(_tangent_matrix(kernel, child, q), rhs[:, :, None])[:, :, 0]
+    g = tangent
+    levels = {d - 1: psi}
+    for k in range(d - 2, 0, -1):
+        upper = levels[k + 1].reshape(len(s), m**k, m)
+        levels[k] = upper.sum(axis=2) ** (1.0 / q)
+        g = (upper * g.reshape(len(s), m**k, m)).sum(axis=2) / (q * upper.sum(axis=2))
+    scale = (q - 1) * q ** (d - 2)
+    total = levels[1].sum(axis=1)
+    # math.log, not np.log, whose vectorized path may round the last bit differently
+    pressure = scale * np.array([math.log(t) for t in total]) + s * shift
+    mean_g = np.matmul(levels[1][:, None, :], g[:, :, None])[:, 0, 0] / total
+    return levels, kernel, tangent, residual, iterations, pressure, scale * mean_g + shift
+
+
+def _pressure_stack(potential: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P(s) and P'(s) at every s of the 1-D array `s`, one :func:`_solve_stack` per chunk of s.
+
+    A chunk holds at most _STACK_ELEMENTS // (n (n + m)) values of s, with
+    n = m^{d-1}, so the stacked tangent matrices (S, n, n) and weights (S n, m)
+    stay within a fixed budget however long the grid is. Rows do not depend
+    on their chunk.
+    """
+    n = potential.m ** (potential.d - 1)
+    size = max(1, _STACK_ELEMENTS // (n * (n + potential.m)))
+    chunks = np.array_split(s, max(1, -(-len(s) // size)))
+    parts = [_solve_stack(potential, chunk)[-2:] for chunk in chunks]
+    return np.concatenate([P for P, _ in parts]), np.concatenate([dP for _, dP in parts])
 
 
 def solve_psi(potential: Potential, s: float) -> PsiSolution:
     """Fixed point of psi -> (L_s psi)^(1/q) from psi = 1, with P(s) and exact P'(s).
 
-    Every call solves afresh. The solver works with the midrange-centered
-    table phi - c; the fixed point rescales by kappa = exp(-s c / (q-1)), which
-    shifts the raw pressure by exactly -s c, so P gets s c back and P' gets c.
-    Differentiating the fixed point, g = d log psi / ds solves the linear
-    system g = K (phi + g[child]) / q with K the stochastic kernel (I - K/q is
-    invertible as K/q has norm 1/q); g is then carried up the levels with psi.
+    Every call solves afresh; it is the one-row case of the batched solve
+    behind :func:`pressure_curve` and array :func:`pressure_derivative`. The
+    solver works with the midrange-centered table phi - c; the fixed point
+    rescales by kappa = exp(-s c / (q-1)), which shifts the raw pressure by
+    exactly -s c, so P gets s c back and P' gets c. Differentiating the fixed
+    point, g = d log psi / ds solves the linear system g = K (phi + g[child]) / q
+    with K the stochastic kernel (I - K/q is invertible as K/q has norm 1/q);
+    g is then carried up the levels with psi.
     """
-    if not math.isfinite(s):
-        raise ValidationError(f"s must be finite, got {s}")
-    m, q, d = potential.m, potential.q, potential.d
-    phi, child, shift = _operator_data(potential)
-    with np.errstate(all="ignore"):
-        weights = np.exp(s * phi)
-    psi, residual, iterations = fixed_point(weights, child, q, f"at s={s}")
-    kernel = weights * psi[child] / (psi**q)[:, None]
-    tangent = np.linalg.solve(_tangent_matrix(kernel, child, q), (kernel * phi).sum(axis=1) / q)
-    g = tangent
-    levels = {d - 1: psi}
-    for k in range(d - 2, 0, -1):
-        upper = levels[k + 1].reshape(m**k, m)
-        levels[k] = upper.sum(axis=1) ** (1.0 / q)
-        g = (upper * g.reshape(m**k, m)).sum(axis=1) / (q * upper.sum(axis=1))
-    scale = (q - 1) * q ** (d - 2)
-    total = levels[1].sum()
+    levels, kernel, tangent, residual, iterations, P, dP = _solve_stack(
+        potential, np.array([s], dtype=float)
+    )
     return PsiSolution(
-        s, levels, kernel, tangent, residual, iterations,
-        pressure=scale * math.log(total) + s * shift,
-        derivative=scale * float(levels[1] @ g / total) + shift,
+        s, {k: level[0] for k, level in levels.items()}, kernel[0], tangent[0],
+        float(residual[0]), int(iterations[0]), pressure=float(P[0]), derivative=float(dP[0]),
     )
 
 
@@ -247,9 +332,15 @@ def pressure(potential: Potential, s: float) -> float:
     return solve_psi(potential, s).pressure
 
 
-def pressure_derivative(potential: Potential, s: float) -> float:
-    """P'(s), exact by implicit differentiation of the fixed point (see :func:`solve_psi`)."""
-    return solve_psi(potential, s).derivative
+def pressure_derivative(potential: Potential, s):
+    """P'(s), exact by implicit differentiation of the fixed point (see :func:`solve_psi`).
+
+    A scalar s gives a float; a 1-D array of s gives the array of P' from
+    batched solves (see :func:`pressure_curve`).
+    """
+    s = np.asarray(s, dtype=float)
+    derivative = _pressure_stack(potential, np.atleast_1d(s))[1]
+    return float(derivative[0]) if s.ndim == 0 else derivative
 
 
 def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
@@ -284,20 +375,20 @@ def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
 def level_domain(potential: Potential) -> tuple[float, float]:
     """[P'(-S), P'(+S)] at the horizon S = ENDPOINT_S: the levels the slope solve can reach.
 
-    The attainable levels extend to the limits of P' as s -> +/-inf; up to
-    rounding, the horizon values fall short of them by e^{-O(S)}.
+    Both ends come from one batched solve. The attainable levels extend to
+    the limits of P' as s -> +/-inf; up to rounding, the horizon values fall
+    short of them by e^{-O(S)}.
     """
-    return (
-        pressure_derivative(potential, -ENDPOINT_S),
-        pressure_derivative(potential, ENDPOINT_S),
-    )
+    lo, hi = pressure_derivative(potential, np.array([-ENDPOINT_S, ENDPOINT_S]))
+    return float(lo), float(hi)
 
 
 def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
     """s in [-ENDPOINT_S, ENDPOINT_S] with P'(s) = alpha, or None when P' misses alpha there.
 
-    The bracket doubles outward from [-1, 1] and is capped at the horizon,
-    so every alpha inside :func:`level_domain` is bracketed. Newton steps
+    The bracket doubles outward from [-1, 1], whose ends are one batched
+    solve, and is capped at the horizon, so every alpha inside
+    :func:`level_domain` is bracketed. Newton steps
     s <- s - (P'(s) - alpha) / P''(s) on the exact P'' then start from the
     secant point of the bracket; each step that would leave the bracket, or
     meets P'' <= 0, is replaced by bisection, and every solve shrinks the
@@ -305,14 +396,17 @@ def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
     max(1, |s|)) or the bracket is that narrow.
     """
     lo, hi = -1.0, 1.0
-    while (f_lo := pressure_derivative(potential, lo)) > alpha:
+    f_lo, f_hi = map(float, pressure_derivative(potential, np.array([lo, hi])))
+    while f_lo > alpha:
         if lo <= -ENDPOINT_S:
             return None
         lo = max(2 * lo, -ENDPOINT_S)
-    while (f_hi := pressure_derivative(potential, hi)) < alpha:
+        f_lo = pressure_derivative(potential, lo)
+    while f_hi < alpha:
         if hi >= ENDPOINT_S:
             return None
         hi = min(2 * hi, ENDPOINT_S)
+        f_hi = pressure_derivative(potential, hi)
     s = lo if f_hi == f_lo else lo + (alpha - f_lo) * (hi - lo) / (f_hi - f_lo)
     for _ in range(200):
         sol = solve_psi(potential, s)
@@ -406,10 +500,13 @@ class PressureCurve:
 
 
 def pressure_curve(potential: Potential, s_grid) -> PressureCurve:
+    """P, P' and the dimension at every s of a 1-D grid.
+
+    The whole grid is one batched solve unless n (n + m) times its length,
+    n = m^{d-1}, exceeds _STACK_ELEMENTS; longer grids go in chunks.
+    """
     s_grid = np.asarray(s_grid, dtype=float)
-    sols = [solve_psi(potential, s) for s in s_grid]
-    P = np.array([sol.pressure for sol in sols])
-    dP = np.array([sol.derivative for sol in sols])
+    P, dP = _pressure_stack(potential, s_grid)
     norm = potential.q ** (potential.d - 1) * math.log(potential.m)
     dim = (P - s_grid * dP) / norm
     return PressureCurve(s=s_grid, P=P, dP=dP, dim=dim)

@@ -71,6 +71,12 @@ class TestSpectrumCommand:
     def test_bad_grid_is_config_error(self):
         assert run(["spectrum", "--potential", "rademacher", "--grid", "0:1:1"]) == cli.EXIT_CONFIG
 
+    def test_non_finite_grid_is_config_error(self, capfd):
+        # numpy would warn inside linspace before the grid reached the solver
+        assert run(["spectrum", "--potential", "rademacher", "--grid=0:inf:3"]) == cli.EXIT_CONFIG
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
+
     def test_overflow_is_numeric_error(self, tmp_path, capfd):
         cfg = tmp_path / "phi.json"
         cfg.write_text(
@@ -139,6 +145,11 @@ class TestWalkCommand:
         rows = out.read_text().strip().splitlines()[1:]
         dims = [float(r.split(",")[2]) for r in rows]
         assert max(dims) == pytest.approx(1.0, abs=1e-9)
+
+    def test_non_finite_grid_is_config_error(self, capfd):
+        assert run(["walk", "--system", "case1", "--grid=nan:1:3"]) == cli.EXIT_CONFIG
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:"), err
 
     def test_wrong_alpha_arity(self):
         assert run(["walk", "--system", "case2", "--alpha", "0.5"]) == cli.EXIT_CONFIG

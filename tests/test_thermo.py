@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -110,6 +111,40 @@ class TestPressure:
                 thermo.legendre_spectrum(phi, 1.0)
         assert info.value.iterations < 10
 
+    def test_convergence_error_names_parameter(self):
+        # the batched curve reports which s failed; that s fails alone too, and
+        # the automaton solvers, which have no parameter, leave it None
+        phi = thermo.Potential.from_values(2, 2, 2, [[0.0, 100.0], [3.0, -50.0]])
+        grid = np.linspace(-10, 10, 5)
+        with pytest.raises(ConvergenceError, match="s=") as info:
+            thermo.pressure_curve(phi, grid)
+        s = info.value.parameter
+        assert s in grid
+        assert f"at s={s} " in str(info.value)
+        with pytest.raises(ConvergenceError, match="s=") as alone:
+            thermo.solve_psi(phi, s)
+        assert alone.value.parameter == s
+        weights, child = np.full((2, 2), np.inf), np.array([[0, 1], [0, 1]])
+        with pytest.raises(ConvergenceError, match="on the states") as info:
+            thermo.fixed_point(weights, child, 2, "on the states")
+        assert info.value.parameter is None
+
+    def test_non_finite_s_rejected(self):
+        phi = thermo.indicator_potential(2, 2)
+        with pytest.raises(ValidationError, match="finite"):
+            thermo.solve_psi(phi, math.inf)
+        with pytest.raises(ValidationError, match="finite"):
+            thermo.pressure_curve(phi, [0.0, math.nan])
+
+    def test_derivative_accepts_arrays(self):
+        phi = thermo.rademacher_potential(2, 2)
+        s = np.array([-1.0, 0.5, 2.0, 0.0])
+        got = thermo.pressure_derivative(phi, s)
+        assert got.shape == s.shape
+        one_by_one = [thermo.pressure_derivative(phi, float(x)) for x in s]
+        assert got.tolist() == pytest.approx(one_by_one, abs=4.4e-16)
+        assert isinstance(thermo.pressure_derivative(phi, 0.5), float)
+
     @given(s=st.floats(-5, 5))
     @settings(max_examples=20, deadline=None)
     def test_fixed_point_residual(self, s):
@@ -158,21 +193,23 @@ class TestSpectrum:
     @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2)])
     def test_solves_per_level(self, monkeypatch, q, d):
         # Newton on the exact P'' from the secant point of the bracket, with
-        # level_domain, the bracket and the final pressure all counted
+        # level_domain, the bracket and the final pressure all counted as
+        # kernel calls: the two horizon ends are one batched call, and so are
+        # the two first bracket ends
         solves = 0
-        solve_psi = thermo.solve_psi
+        fixed_point = thermo.fixed_point
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             nonlocal solves
             solves += 1
-            return solve_psi(*args)
+            return fixed_point(*args, **kwargs)
 
-        monkeypatch.setattr(thermo, "solve_psi", counting)
+        monkeypatch.setattr(thermo, "fixed_point", counting)
         phi = thermo.rademacher_potential(q, d)
         for alpha in (-0.9, -0.3, 0.2, 0.95):
             solves = 0
             thermo.legendre_spectrum(phi, alpha)
-            assert solves <= 12, (alpha, solves)
+            assert solves <= 11, (alpha, solves)
 
     @given(
         m=st.sampled_from([2, 3]),
@@ -222,6 +259,38 @@ class TestMarkovMeasure:
 
 
 class TestCurve:
+    @given(
+        m=st.sampled_from([2, 3]),
+        q=st.sampled_from([2, 3]),
+        d=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        grid=st.lists(st.floats(-8, 8), min_size=1, max_size=12).flatmap(
+            lambda xs: st.permutations(xs + xs[: len(xs) // 2])
+        ),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_batched_matches_one_solve_per_s(self, m, q, d, seed, grid):
+        # the oracle is the one-s solve: every row of the batched kernel must
+        # end on the same iteration with the same bits, whatever the grid order
+        table = np.random.default_rng(seed).uniform(-1.0, 1.0, (m,) * d)
+        phi = thermo.Potential(m=m, q=q, d=d, table=table)
+        calls = []
+        fixed_point = thermo.fixed_point
+
+        def recording(*args, **kwargs):
+            calls.append(fixed_point(*args, **kwargs))
+            return calls[-1]
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(thermo, "fixed_point", recording)
+            curve = thermo.pressure_curve(phi, grid)
+        assert len(calls) == 1
+        sols = [thermo.solve_psi(phi, s) for s in grid]
+        assert curve.P.tolist() == [sol.pressure for sol in sols]
+        for got, sol in zip(curve.dP, sols):
+            assert abs(got - sol.derivative) <= 4.4e-16 * max(1.0, abs(sol.derivative))
+        assert calls[0][2].tolist() == [sol.iterations for sol in sols]
+
     def test_curve_rows(self):
         phi = thermo.rademacher_potential(2, 2)
         curve = thermo.pressure_curve(phi, np.linspace(-2, 2, 5))
@@ -230,3 +299,23 @@ class TestCurve:
         s, p, dp, alpha, dim = rows[2]
         assert s == 0.0
         assert dim == pytest.approx(1.0, abs=1e-9)
+
+    def test_empty_grid(self):
+        curve = thermo.pressure_curve(thermo.rademacher_potential(2, 3), [])
+        assert curve.P.shape == curve.dP.shape == (0,)
+        assert list(curve.rows()) == []
+
+    def test_long_grid_memory_is_bounded(self):
+        # n = 128 codes: one solve over all 401 s would stack 401 tangent
+        # matrices of 128 KB each, over 100 MB at peak
+        phi = thermo.rademacher_potential(2, 8)
+        grid = np.linspace(-10, 10, 401)
+        tracemalloc.start()
+        try:
+            curve = thermo.pressure_curve(phi, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        for i in (0, 123, 200, 400):
+            assert curve.P[i] == thermo.pressure(phi, grid[i])
