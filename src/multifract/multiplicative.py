@@ -188,45 +188,42 @@ def psss_solution(
 ) -> PsssSolution:
     """Solve the leveled system t(u)^{l_{k+1}/l_k} = sum of children on (state, level).
 
-    The system is triangular in the level, so it is closed by a backward
-    recursion from a truncation depth. Running it twice -- once with the
-    lower closure t = 1 and once with the upper closure from the exponent
-    bound t <= m^{l_K * tail} -- brackets log_m t(root); the depth grows
-    until the bracket is below `target`.
+    The system is triangular in the level, so it is closed by one backward
+    recursion from the truncation depth D of the box series at `target`
+    (:func:`symbolic.series_weights`), run on two columns at once: the lower
+    closure t = 1 and the upper closure t = m^{l_D sum_{k>D} 1/l_k}. They
+    bracket log_m t(root) within sum_{k>D} 1/l_k / gamma, which the series'
+    Abel tail, below `target`, bounds; a wider bracket raises ConvergenceError.
     """
     weights, child = _state_operator(automaton)
     m = automaton.m
     gamma = gamma_of_semigroup(spec)
     root = automaton.state_index()[automaton.initial]
+    depth = max(len(series_weights(spec.primes, target)), 1)
+    elems = semigroup_elements(spec, _element_bound(spec, depth + 1))[: depth + 1]
+    tail = max(gamma - sum(1.0 / l for l in elems[:depth]), 0.0)
+    t = np.ones((len(weights), 2))
+    t[:, 1] = float(m) ** min(elems[depth - 1] * tail, 60.0)
+    stacked = weights[:, :, None]
+    for k in range(depth - 1, 0, -1):  # level k uses ratio l_{k+1}/l_k
+        t = operator_step(stacked, child, t, elems[k] / elems[k - 1])  # elems[k-1] = l_k
+    roots = operator_step(stacked, child, t, 1)[root] ** (1.0 / gamma)
+    lo, hi = sorted(math.log(r) / math.log(m) for r in roots)
+    if hi - lo >= target:
+        raise ConvergenceError("semigroup truncation did not close the bracket", hi - lo)
+    return PsssSolution(t_root=float(math.sqrt(roots[0] * roots[1])), m=m, depth=depth, residual=hi - lo)
 
-    bound = 1 << 20
-    while True:
-        elems = semigroup_elements(spec, bound)
-        depth = len(elems) - 1  # levels 1..depth have a known exponent ratio
-        if depth < 2:
-            bound <<= 4
-            continue
-        tail = max(gamma - sum(1.0 / l for l in elems), 0.0)
-        closures = (
-            np.ones(len(weights)),
-            np.full(len(weights), float(m) ** min(elems[depth - 1] * (tail + 1.0 / elems[depth]), 60.0)),
-        )
-        roots = []
-        for t in closures:
-            for k in range(depth - 1, 0, -1):  # level k uses ratio l_{k+1}/l_k
-                t = operator_step(weights, child, t, elems[k] / elems[k - 1])  # elems[k-1] = l_k
-            roots.append(operator_step(weights, child, t, 1)[root] ** (1.0 / gamma))
-        lo, hi = sorted(math.log(r) / math.log(m) for r in roots)
-        if hi - lo < target:
-            return PsssSolution(
-                t_root=float(math.sqrt(roots[0] * roots[1])),
-                m=m,
-                depth=depth,
-                residual=hi - lo,
-            )
-        if bound > 1 << 62:
-            raise ConvergenceError("semigroup truncation did not close the bracket", hi - lo)
-        bound <<= 8
+
+def _element_bound(spec: SemigroupSpec, count: int) -> int:
+    """An x with at least `count` semigroup elements <= x.
+
+    The elements <= x are the lattice points a >= 0 with sum_i a_i log p_i
+    <= log x, and their unit cubes cover that simplex, so there are at
+    least its volume (log x)^r / (r! prod_i log p_i) of them.
+    """
+    r = len(spec.primes)
+    volume = math.factorial(r) * count * math.prod(math.log(p) for p in spec.primes)
+    return math.ceil(math.exp(volume ** (1.0 / r)) * (1 + 1e-9))
 
 
 def psss_hausdorff(

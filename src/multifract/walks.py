@@ -1,9 +1,11 @@
 """Oriented walks driven by an idempotent linear action.
 
-Transfer matrices, Perron-Frobenius pressure, the multifractal spectrum of
-the walk's linear drift, the evolution measure whose cylinder masses track
-the walk, trajectory simulation, and the closed second-moment formula for
-the polymer-chain model.
+Transfer matrices, Perron-Frobenius pressure from one dense eigensolve, its
+exact gradient and Hessian (the mean and asymptotic covariance of the drift
+under the Perron chain), the multifractal spectrum of the walk's linear
+drift by Newton's method on them, the evolution measure whose cylinder
+masses track the walk, trajectory simulation, and the closed second-moment
+formula for the polymer-chain model.
 """
 
 from __future__ import annotations
@@ -17,13 +19,11 @@ from typing import Sequence
 import numpy as np
 
 from . import riesz
-from .errors import ConvergenceError, ValidationError
+from .errors import ValidationError
 from .symbolic import transition_matrix
 
 OUT_OF_DOMAIN = float("nan")
 
-_POWER_TOL = 1e-14
-_POWER_CAP = 100_000
 _EXP_GUARD = 600.0  # |<s, tau^j v>| beyond this is solved in the log domain
 
 
@@ -170,54 +170,36 @@ def transfer_matrix(system: WalkSystem, s) -> np.ndarray:
 
 
 def spectral_radius(matrix: np.ndarray) -> tuple[float, np.ndarray]:
-    """Perron eigenvalue and probability eigenvector by shifted power iteration.
+    """Perron root and its probability eigenvector, from one dense eigensolve.
 
-    Iterates with M + I, which preserves eigenvectors and maps the Perron
-    root lambda to lambda + 1, so periodic 0/1 structure cannot stall the
-    iteration.
+    The Perron root is the eigenvalue of largest real part: on an irreducible
+    nonnegative matrix every other eigenvalue of modulus lambda is lambda
+    times a root of unity other than 1.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValidationError("matrix must be square")
     if np.any(matrix < 0):
         raise ValidationError("matrix must be nonnegative")
-    n = matrix.shape[0]
-    shifted = matrix + np.eye(n)
-    vec = np.ones(n)
-    rayleigh = 0.0
-    for _ in range(_POWER_CAP):
-        image = shifted @ vec
-        new_rayleigh = float(image @ vec) / float(vec @ vec)
-        vec = image / np.max(np.abs(image))
-        if abs(new_rayleigh - rayleigh) < _POWER_TOL * max(1.0, abs(new_rayleigh)):
-            rayleigh = new_rayleigh
-            break
-        rayleigh = new_rayleigh
-    else:
-        raise ConvergenceError("power iteration did not converge", abs(new_rayleigh - rayleigh))
-    vec = vec / vec.sum()
-    return rayleigh - 1.0, vec
+    values, vectors = np.linalg.eig(matrix)
+    top = int(np.argmax(values.real))
+    t = np.abs(vectors[:, top].real)
+    return float(values[top].real), t / t.sum()
+
+
+def _scaled_matrix(system: WalkSystem, s: np.ndarray) -> tuple[np.ndarray, float]:
+    """(M_s exp(-scale), scale) with scale = max_j <s, tau^j v>, so no entry overflows."""
+    exponents = system.orbit @ s
+    scale = float(np.max(exponents))
+    return system.step_mask * np.exp(exponents - scale)[None, :], scale
 
 
 def walk_pressure(system: WalkSystem, s) -> WalkPressure:
     """Spectral data at s, computed on a log-rescaled matrix for stability."""
     s = _as_param(system, s)
-    exponents = system.orbit @ s
-    scale = float(np.max(exponents))
-    matrix = system.step_mask * np.exp(exponents - scale)[None, :]
-    # a tiny Perron root (relative to the +I shift) makes power iteration
-    # crawl; extreme parameters get the dense eigensolver instead
-    if float(matrix.sum(axis=1).min()) >= 1e-5:
-        try:
-            lam, t = spectral_radius(matrix)
-            return WalkPressure(s=s, log_scale=scale, lam=lam, t=t)
-        except ConvergenceError:
-            pass
-    values, vectors = np.linalg.eig(matrix)
-    top = int(np.argmax(values.real))
-    lam = float(values[top].real)
-    t = np.abs(vectors[:, top].real)
-    return WalkPressure(s=s, log_scale=scale, lam=lam, t=t / t.sum())
+    matrix, scale = _scaled_matrix(system, s)
+    lam, t = spectral_radius(matrix)
+    return WalkPressure(s=s, log_scale=scale, lam=lam, t=t)
 
 
 def pressure(system: WalkSystem, s) -> float:
@@ -225,18 +207,38 @@ def pressure(system: WalkSystem, s) -> float:
     return walk_pressure(system, s).pressure
 
 
+def _perron_chain(system: WalkSystem, data: WalkPressure) -> tuple[np.ndarray, np.ndarray]:
+    """The stochastic matrix Q = M t / (lambda t) at data.s and its stationary law pi.
+
+    pi is proportional to u t for the left Perron vector u; it comes from
+    one p x p solve, pi^T = 1^T (I - Q + 1 1^T)^{-1}.
+    """
+    matrix, _ = _scaled_matrix(system, data.s)
+    chain = matrix * data.t[None, :] / (data.lam * data.t[:, None])
+    pi = np.linalg.solve((np.eye(system.p) - chain + 1.0).T, np.ones(system.p))
+    return chain, pi
+
+
+def _derivatives(system: WalkSystem, s) -> tuple[np.ndarray, np.ndarray]:
+    """Exact grad P(s) = pi f and Hessian of P at s, from one Perron solve.
+
+    f(j) = tau^j v is the drift the chain Q adds on entering residue j, and
+    the Hessian is the asymptotic covariance of f under Q (Kemeny-Snell):
+    with the fundamental matrix Z = (I - Q + 1 pi)^{-1} and g = f - pi f,
+    it is C + C^T - g^T diag(pi) g for C = g^T diag(pi) Z g.
+    """
+    chain, pi = _perron_chain(system, walk_pressure(system, s))
+    grad = pi @ system.orbit
+    centred = system.orbit - grad
+    poisson = np.linalg.solve(np.eye(system.p) - chain + pi[None, :], centred)
+    cross = centred.T @ (pi[:, None] * poisson)
+    return grad, cross + cross.T - centred.T @ (pi[:, None] * centred)
+
+
 def pressure_gradient(system: WalkSystem, s) -> np.ndarray:
-    """Gradient of P by coordinate-wise Richardson central differences."""
-    s = _as_param(system, s)
-    grad = np.empty_like(s)
-    for i in range(len(s)):
-        h = 1e-4 * max(1.0, abs(s[i]))
-        e = np.zeros_like(s)
-        e[i] = 1.0
-        coarse = (pressure(system, s + h * e) - pressure(system, s - h * e)) / (2 * h)
-        fine = (pressure(system, s + h / 2 * e) - pressure(system, s - h / 2 * e)) / h
-        grad[i] = (4 * fine - coarse) / 3
-    return grad
+    """grad P(s) = pi f, the mean drift of the Perron chain at s, exact."""
+    _, pi = _perron_chain(system, walk_pressure(system, s))
+    return pi @ system.orbit
 
 
 def _as_param(system: WalkSystem, s) -> np.ndarray:
@@ -248,55 +250,50 @@ def _as_param(system: WalkSystem, s) -> np.ndarray:
     return arr
 
 
-_S_MAX = 60.0
+# Newton bounds, on s times max |f| and on drifts divided by max |f|
+_S_MAX = 60.0  # this far out, alpha saturates the drift range
+_STEP_MAX = 4.0  # hard cap on one Newton step
+_STEP_TOL = 1e-7  # a step this small leaves an error of order its square
+_GRAD_TOL = 1e-10
+_NEWTON_CAP = 100
 
 
 def solve_gradient(system: WalkSystem, alpha) -> np.ndarray | None:
     """s with grad P(s) = alpha, or None when alpha is outside the drift range.
 
-    Damped Newton on the convex dual objective P(s) - <s, alpha>, with a
-    finite-difference Hessian; convexity makes descent from s = 0 global.
+    Newton from s = 0 on the exact Hessian, each step a least-squares solve
+    capped at _STEP_MAX. A drift range of lower dimension makes the Hessian
+    singular across its affine hull; the least-squares step then moves s
+    within the hull only. Newton stops once the gradient matches alpha or
+    the step stalls, and the last step's s is checked against the exact
+    gradient: alpha off that hull gives None, and so does alpha on or past
+    the range's boundary, which sends s out to the _S_MAX box. Every bound
+    is taken relative to the drift unit max |f|, so scaling v leaves the
+    answer the same.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
+    unit = float(np.max(np.abs(system.orbit)))
     s = np.zeros(system.dim)
-    objective = lambda z: pressure(system, z) - float(z @ alpha)
-    for _ in range(200):
-        grad = pressure_gradient(system, s) - alpha
-        if np.max(np.abs(grad)) < 1e-10:
-            return s
-        hess = np.empty((system.dim, system.dim))
-        h = 1e-4
-        for i in range(system.dim):
-            e = np.zeros(system.dim)
-            e[i] = h
-            hess[:, i] = (
-                pressure_gradient(system, s + e) - pressure_gradient(system, s - e)
-            ) / (2 * h)
-        try:
-            step = np.linalg.solve(hess, grad)
-        except np.linalg.LinAlgError:
-            step = grad
-        base = objective(s)
-        scale = 1.0
-        for _ in range(60):
-            trial = s - scale * step
-            if np.max(np.abs(trial)) <= _S_MAX and objective(trial) < base:
-                s = trial
-                break
-            scale *= 0.5
-        else:
-            # no descent found: either we are at the optimum up to rounding,
-            # or alpha saturates the drift range and s runs off to the box
-            return s if np.max(np.abs(grad)) < 1e-7 else None
-        if np.max(np.abs(s)) >= _S_MAX * 0.999:
+    for _ in range(_NEWTON_CAP):
+        grad, hess = _derivatives(system, s)
+        residual = grad - alpha
+        step = np.linalg.lstsq(hess, residual, rcond=None)[0]
+        size = float(np.max(np.abs(step))) * unit
+        s = s - step / max(1.0, size / _STEP_MAX)
+        if np.max(np.abs(s)) * unit >= _S_MAX:
             return None
-    return None
+        if size < _STEP_TOL or np.max(np.abs(residual)) < _GRAD_TOL * unit:
+            break
+    else:
+        return None
+    return s if np.max(np.abs(pressure_gradient(system, s) - alpha)) < _GRAD_TOL * unit else None
 
 
 def walk_spectrum(system: WalkSystem, alpha) -> float:
     """dim of the level set of S_n/n at alpha: (P(s_a) - <s_a, alpha>) / log #A.
 
-    Returns NaN for alpha outside the closure of the drift range.
+    Returns NaN for alpha outside the drift range or off its affine hull,
+    and may return NaN on the range's boundary, where s runs to infinity.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     s = solve_gradient(system, alpha)
@@ -379,14 +376,10 @@ def sample_paths(system: WalkSystem, s, n: int, paths: int, seed: int) -> np.nda
     s = _as_param(system, s)
     data = walk_pressure(system, s)
     t = data.t
-    lam = data.lam_true
+    chain, _ = _perron_chain(system, data)
     steps = np.array(system.steps)
-    drives = np.exp(system.orbit @ s)
     # per-residue step laws Q(w -> w + a)
-    kernel = np.empty((system.p, len(steps)))
-    for w in range(system.p):
-        nxt = (w + steps) % system.p
-        kernel[w] = t[nxt] * drives[nxt] / (lam * t[w])
+    kernel = np.take_along_axis(chain, (np.arange(system.p)[:, None] + steps) % system.p, axis=1)
     kernel /= kernel.sum(axis=1, keepdims=True)  # exact identity up to rounding
     first_res = steps % system.p
     pi = t[first_res] / t[first_res].sum()

@@ -154,6 +154,16 @@ class TestWalkCommand:
     def test_wrong_alpha_arity(self):
         assert run(["walk", "--system", "case2", "--alpha", "0.5"]) == cli.EXIT_CONFIG
 
+    def test_lower_dimensional_drift_returns(self, tmp_path, capsys):
+        # S_n/n lies on the plane sum(alpha) = 1; alpha on that triangle's
+        # edge is the boundary of the drift range and reads NaN
+        system = tmp_path / "rotation3.json"
+        system.write_text(
+            json.dumps({"p": 3, "tau": [[0, 0, 1], [1, 0, 0], [0, 1, 0]], "v": [1, 0, 0], "A": [0, 1]})
+        )
+        assert run(["walk", "--system", str(system), "--alpha", "0.5,0.5,0"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0.5,0.5,0,nan"
+
 
 class TestSampleAndRiesz:
     def test_sample_reproducible(self, capsys):

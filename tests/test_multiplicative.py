@@ -142,3 +142,22 @@ class TestPsss:
         assert report["dim_H"] == pytest.approx(1.0, abs=1e-9)
         assert report["dim_B"] == pytest.approx(1.0, abs=1e-6)
         assert report["symmetric"] is True
+
+    @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5)])
+    def test_one_truncation_depth(self, primes):
+        # the depth is the box series' at the same target, and its bracket
+        # closes below that target with no second sweep
+        spec = symbolic.SemigroupSpec(primes)
+        automata = (
+            symbolic.fibonacci_automaton(),
+            symbolic.forbid_ones_run(3),
+            symbolic.even_ones_shift(),
+            symbolic.two_regular_ternary(),
+            symbolic.full_shift(3),
+        )
+        for target in (1e-6, 1e-10):
+            depth = len(symbolic.series_weights(primes, target))
+            for aut in automata:
+                sol = multiplicative.psss_solution(aut, spec, target)
+                assert sol.depth == depth
+                assert 0.0 <= sol.residual < target

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multifract import walks
+from multifract import riesz, walks
 from multifract.errors import ValidationError
 
 LOG2 = math.log(2)
@@ -151,6 +151,119 @@ class TestSpectrum:
     def test_spectrum_in_unit_interval(self, a):
         value = walks.walk_spectrum(walks.case1(), [a])
         assert 0.0 <= value <= 1.0 + 1e-12
+
+
+def rotation3() -> walks.WalkSystem:
+    """p = 3, tau the cyclic permutation, v = e_0, steps {0, 1}: S_n/n is the
+    vector of residue visit frequencies, so the drift range is the triangle
+    sum(alpha) = 1, of dimension 2 in R^3."""
+    tau = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    return walks.WalkSystem(p=3, tau=tau, v=np.array([1.0, 0.0, 0.0]), steps=(0, 1))
+
+
+def rotation3_oracle(alpha) -> float:
+    """max over 0 < c <= min alpha of sum_w alpha_w H(c / alpha_w) / log 2.
+
+    c n of the alpha_w n visits to residue w take the step 1; the concave
+    objective peaks where prod_w (alpha_w - c) = c^3, found by bisection.
+    """
+    lo, hi = 0.0, min(alpha)
+    for _ in range(200):
+        c = (lo + hi) / 2
+        lo, hi = (c, hi) if math.prod(a - c for a in alpha) > c**3 else (lo, c)
+    c = (lo + hi) / 2
+    return sum(a * riesz.entropy(c / a) for a in alpha) / LOG2
+
+
+def count_calls(monkeypatch, name: str) -> list[int]:
+    """Patch walks.<name> to count its calls into the returned one-item list."""
+    calls = [0]
+    function = getattr(walks, name)
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return function(*args, **kwargs)
+
+    monkeypatch.setattr(walks, name, counting)
+    return calls
+
+
+class TestExactCalculus:
+    def test_case1_gradient_is_tanh_to_rounding(self):
+        system = walks.case1()
+        for s in np.linspace(-4, 4, 81):
+            got = walks.pressure_gradient(system, [s])[0]
+            assert abs(got - math.tanh(s)) <= 2 * np.finfo(float).eps, s
+
+    def test_case1_hessian_is_sech_squared(self):
+        system = walks.case1()
+        for s in np.linspace(-4, 4, 81):
+            _, hess = walks._derivatives(system, [s])
+            assert abs(hess[0, 0] - 1 / math.cosh(s) ** 2) <= 1e-15, s
+
+    def test_case2_hessian_is_gradient_difference(self):
+        system = walks.case2()
+        h = 1e-5
+        for s in np.random.default_rng(3).uniform(-3, 3, (8, 2)):
+            _, hess = walks._derivatives(system, s)
+            for i, e in enumerate(np.eye(2) * h):
+                column = (
+                    walks.pressure_gradient(system, s + e) - walks.pressure_gradient(system, s - e)
+                ) / (2 * h)
+                assert np.max(np.abs(hess[:, i] - column)) <= 1e-9
+
+    def test_spectrum_equals_closed_forms(self):
+        for a in np.linspace(-0.9, 0.9, 13):
+            got = walks.walk_spectrum(walks.case1(), [float(a)])
+            assert abs(got - walks.closed_form_case1(float(a))) <= 1e-12
+        for a in (-0.3, 0.0, 0.25):
+            for b in (-0.4, 0.1):
+                got = walks.walk_spectrum(walks.case2(), [a, b])
+                assert abs(got - walks.closed_form_case2(a, b)) <= 1e-12
+
+    @pytest.mark.parametrize("v", [0.01, 1000.0])
+    def test_spectrum_is_scale_free(self, v):
+        # scaling v scales the drift range and leaves the spectrum as it is
+        system = walks.WalkSystem(p=2, tau=np.array([[-1.0]]), v=np.array([v]), steps=(0, 1))
+        for a in (-0.9, 0.5, 0.999):
+            assert walks.walk_spectrum(system, [a * v]) == pytest.approx(
+                walks.closed_form_case1(a), abs=1e-9
+            )
+        assert math.isnan(walks.walk_spectrum(system, [1.2 * v]))
+
+    def test_perron_solves_per_alpha(self, monkeypatch):
+        calls = count_calls(monkeypatch, "walk_pressure")
+        cases = [(walks.case1(), [float(a)]) for a in np.linspace(-0.95, 0.95, 20)]
+        cases += [(walks.case2(), [a, b]) for a in (-0.45, 0.0, 0.3) for b in (-0.2, 0.45)]
+        for system, alpha in cases:
+            calls[0] = 0
+            walks.walk_spectrum(system, alpha)
+            assert calls[0] <= 10, (alpha, calls[0])
+
+    def test_one_eigensolve_per_pressure(self, monkeypatch):
+        calls = count_calls(monkeypatch, "spectral_radius")
+        walks.walk_pressure(walks.case2(), [0.3, -0.7])
+        assert calls[0] == 1
+
+
+class TestLowerDimensionalDrift:
+    @pytest.mark.parametrize("alpha", [(0.4, 0.3, 0.3), (0.5, 0.3, 0.2)])
+    def test_interior_matches_oracle(self, alpha):
+        assert walks.walk_spectrum(rotation3(), list(alpha)) == pytest.approx(
+            rotation3_oracle(alpha), abs=1e-9
+        )
+
+    def test_off_affine_hull_is_nan(self):
+        assert math.isnan(walks.walk_spectrum(rotation3(), [0.5, 0.3, 0.3]))
+
+    def test_hull_boundary_returns_nan(self, monkeypatch):
+        # the walk leaves each residue about as often as it goes round the
+        # cycle, so alpha_2 = 0 allows only o(n) steps 1: the level set has
+        # dimension 0, approached only as s runs out to the _S_MAX box, and
+        # the solver reports NaN
+        calls = count_calls(monkeypatch, "walk_pressure")
+        assert math.isnan(walks.walk_spectrum(rotation3(), [0.5, 0.5, 0.0]))
+        assert calls[0] <= 200
 
 
 class TestEvolutionMeasure:
