@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -18,6 +19,7 @@ from .errors import ConvergenceError, ValidationError
 from .symbolic import (
     PrefixAutomaton,
     SemigroupSpec,
+    _ascending_products,
     gamma_of_semigroup,
     lambda_partition,
     prefix_counts_up_to,
@@ -190,40 +192,31 @@ def psss_solution(
 
     The system is triangular in the level, so it is closed by one backward
     recursion from the truncation depth D of the box series at `target`
-    (:func:`symbolic.series_weights`), run on two columns at once: the lower
-    closure t = 1 and the upper closure t = m^{l_D sum_{k>D} 1/l_k}. They
-    bracket log_m t(root) within sum_{k>D} 1/l_k / gamma, which the series'
-    Abel tail, below `target`, bounds; a wider bracket raises ConvergenceError.
+    (:func:`symbolic.series_weights`), started from the lower closure t = 1.
+    The upper closure t = m^{l_D T}, T = sum_{k>D} 1/l_k, needs no sweep:
+    step k is homogeneous of degree l_k/l_{k+1}, so its constant reaches the
+    root as m^{T/gamma}. The closures thus bracket log_m t(root) within
+    exactly T / gamma, computed in integers and bounded by the series' Abel
+    tail, below `target`; a wider bracket raises ConvergenceError. The
+    solution is the bracket's midpoint.
     """
     weights, child = _state_operator(automaton)
     m = automaton.m
     gamma = gamma_of_semigroup(spec)
     root = automaton.state_index()[automaton.initial]
     depth = max(len(series_weights(spec.primes, target)), 1)
-    elems = semigroup_elements(spec, _element_bound(spec, depth + 1))[: depth + 1]
-    tail = max(gamma - sum(1.0 / l for l in elems[:depth]), 0.0)
-    t = np.ones((len(weights), 2))
-    t[:, 1] = float(m) ** min(elems[depth - 1] * tail, 60.0)
-    stacked = weights[:, :, None]
+    elems = semigroup_elements(spec, next(islice(_ascending_products(spec.primes), depth - 1, None)))
+    t = np.ones(len(weights))
     for k in range(depth - 1, 0, -1):  # level k uses ratio l_{k+1}/l_k
-        t = operator_step(stacked, child, t, elems[k] / elems[k - 1])  # elems[k-1] = l_k
-    roots = operator_step(stacked, child, t, 1)[root] ** (1.0 / gamma)
-    lo, hi = sorted(math.log(r) / math.log(m) for r in roots)
-    if hi - lo >= target:
-        raise ConvergenceError("semigroup truncation did not close the bracket", hi - lo)
-    return PsssSolution(t_root=float(math.sqrt(roots[0] * roots[1])), m=m, depth=depth, residual=hi - lo)
-
-
-def _element_bound(spec: SemigroupSpec, count: int) -> int:
-    """An x with at least `count` semigroup elements <= x.
-
-    The elements <= x are the lattice points a >= 0 with sum_i a_i log p_i
-    <= log x, and their unit cubes cover that simplex, so there are at
-    least its volume (log x)^r / (r! prod_i log p_i) of them.
-    """
-    r = len(spec.primes)
-    volume = math.factorial(r) * count * math.prod(math.log(p) for p in spec.primes)
-    return math.ceil(math.exp(volume ** (1.0 / r)) * (1 + 1e-9))
+        t = operator_step(weights, child, t, elems[k] / elems[k - 1])  # elems[k-1] = l_k
+    lo = math.log(operator_step(weights, child, t, 1)[root] ** (1.0 / gamma)) / math.log(m)
+    # T / gamma with gamma = prod p / prod (p - 1) and den = lcm(l_1..l_D)
+    g_num, g_den = math.prod(spec.primes), math.prod(p - 1 for p in spec.primes)
+    den = math.lcm(*elems)
+    bracket = (g_num * den - g_den * sum(den // l for l in elems)) / (g_num * den)
+    if bracket >= target:
+        raise ConvergenceError("semigroup truncation did not close the bracket", bracket)
+    return PsssSolution(t_root=float(m) ** (lo + bracket / 2), m=m, depth=depth, residual=bracket)
 
 
 def psss_hausdorff(

@@ -256,34 +256,50 @@ _STEP_MAX = 4.0  # hard cap on one Newton step
 _STEP_TOL = 1e-7  # a step this small leaves an error of order its square
 _GRAD_TOL = 1e-10
 _NEWTON_CAP = 100
+_HALVINGS = 30  # step halvings before the residual is taken to be at rounding level
 
 
 def solve_gradient(system: WalkSystem, alpha) -> np.ndarray | None:
     """s with grad P(s) = alpha, or None when alpha is outside the drift range.
 
     Newton from s = 0 on the exact Hessian, each step a least-squares solve
-    capped at _STEP_MAX. A drift range of lower dimension makes the Hessian
-    singular across its affine hull; the least-squares step then moves s
-    within the hull only. Newton stops once the gradient matches alpha or
-    the step stalls, and the last step's s is checked against the exact
-    gradient: alpha off that hull gives None, and so does alpha on or past
-    the range's boundary, which sends s out to the _S_MAX box. Every bound
-    is taken relative to the drift unit max |f|, so scaling v leaves the
-    answer the same.
+    capped at _STEP_MAX and halved until |grad P - alpha| falls: plain
+    Newton can cycle on a sigmoid gradient, and its step points downhill for
+    that residual. A drift range of lower dimension makes the Hessian singular across its
+    affine hull; the least-squares step then moves s within the hull only.
+    Newton stops once the gradient matches alpha or the step stalls, and the
+    last step's s is checked against the exact gradient: alpha off that hull
+    gives None, and so does alpha on or past the range's boundary, which
+    sends s out to the _S_MAX box. Every bound is taken relative to the
+    drift unit max |f|, so scaling v leaves the answer the same.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     unit = float(np.max(np.abs(system.orbit)))
     s = np.zeros(system.dim)
+    grad, hess = _derivatives(system, s)
     for _ in range(_NEWTON_CAP):
-        grad, hess = _derivatives(system, s)
         residual = grad - alpha
         step = np.linalg.lstsq(hess, residual, rcond=None)[0]
         size = float(np.max(np.abs(step))) * unit
-        s = s - step / max(1.0, size / _STEP_MAX)
-        if np.max(np.abs(s)) * unit >= _S_MAX:
-            return None
+        step /= max(1.0, size / _STEP_MAX)
         if size < _STEP_TOL or np.max(np.abs(residual)) < _GRAD_TOL * unit:
+            s = s - step
             break
+        norm = residual @ residual
+        for _ in range(_HALVINGS):
+            trial = s - step
+            if np.max(np.abs(trial)) * unit >= _S_MAX:
+                return None
+            try:
+                grad, hess = _derivatives(system, trial)
+            except np.linalg.LinAlgError:  # Q is reducible to rounding: s is past the range
+                return None
+            if (grad - alpha) @ (grad - alpha) < norm:
+                break
+            step /= 2
+        else:
+            break  # no step lowers the residual: it is at rounding level
+        s = trial
     else:
         return None
     return s if np.max(np.abs(pressure_gradient(system, s) - alpha)) < _GRAD_TOL * unit else None

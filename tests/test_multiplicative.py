@@ -161,3 +161,13 @@ class TestPsss:
                 sol = multiplicative.psss_solution(aut, spec, target)
                 assert sol.depth == depth
                 assert 0.0 <= sol.residual < target
+
+    @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (3, 5)])
+    def test_bracket_holds_the_full_shift(self, primes):
+        # the full shift has dimension 1, reached by the upper closure: so
+        # the bracket [dim - residual/2, dim + residual/2] must end at 1
+        spec = symbolic.SemigroupSpec(primes)
+        for m in (2, 3):
+            sol = multiplicative.psss_solution(symbolic.full_shift(m), spec)
+            assert sol.dimension + sol.residual / 2 == pytest.approx(1.0, abs=1e-14)
+            assert sol.residual > 1e-12

@@ -266,6 +266,50 @@ class TestLowerDimensionalDrift:
         assert calls[0] <= 200
 
 
+def parity18() -> walks.WalkSystem:
+    """p = 18, tau = -1, steps 0 and the nine odd residues.
+
+    Residue parity lumps M_s onto [[e^s, 9 e^-s], [9 e^s, e^-s]], so
+    P(s) = log(cosh s + sqrt(cosh^2 s + 80)): a sigmoid gradient on (-1, 1)
+    with P''(0) = 1/9 and its steepest point away from s = 0.
+    """
+    return walks.WalkSystem(
+        p=18, tau=np.array([[-1.0]]), v=np.array([1.0]), steps=(0, *range(1, 18, 2))
+    )
+
+
+def parity18_oracle(alpha: float) -> float:
+    """(P(s) - s alpha) / log 10 at the root of the lumped P'(s) = alpha, by bisection."""
+
+    def slope(s):
+        c, r = math.cosh(s), math.sqrt(math.cosh(s) ** 2 + 80)
+        return math.sinh(s) * (1 + c / r) / (c + r)
+
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if slope(mid) < alpha else (lo, mid)
+    s = (lo + hi) / 2
+    c = math.cosh(s)
+    return (math.log(c + math.sqrt(c * c + 80)) - s * alpha) / math.log(10)
+
+
+class TestSigmoidGradient:
+    @pytest.mark.parametrize("alpha", [0.5, 0.6, 0.7, -0.6])
+    def test_matches_lumped_oracle(self, alpha, monkeypatch):
+        # undamped Newton from 0 steps to the cap 4 and back to 0 for ever at
+        # alpha = 0.5; the residual test halves the way back instead
+        calls = count_calls(monkeypatch, "walk_pressure")
+        got = walks.walk_spectrum(parity18(), [alpha])
+        assert got == pytest.approx(parity18_oracle(alpha), abs=1e-12)
+        assert calls[0] <= 12
+
+    @pytest.mark.parametrize("alpha", [1.1, -1.5])
+    def test_outside_range_is_nan(self, alpha):
+        # far out the Perron chain is reducible to rounding; that too is NaN
+        assert math.isnan(walks.walk_spectrum(parity18(), [alpha]))
+
+
 class TestEvolutionMeasure:
     def test_zero_parameter_is_uniform(self):
         system = walks.case1()
