@@ -55,8 +55,15 @@ def _write(text: str, args) -> None:
 
 
 def _emit(rows: list[dict], header: list[str], args) -> None:
-    """Write rows as CSV or JSON, to --out or stdout, deterministically."""
+    """Write rows as CSV or JSON, to --out or stdout, deterministically.
+
+    JSON has no NaN or infinity, so a non-finite float is written as null.
+    """
     if args.format == "json":
+        rows = [
+            {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+            for row in rows
+        ]
         text = json.dumps(rows, indent=2, default=str) + "\n"
     else:
         lines = [",".join(header)]
@@ -119,8 +126,9 @@ def cmd_walk(args) -> int:
         if alpha.shape != (system.dim,):
             raise ValidationError(f"alpha needs {system.dim} coordinates")
         dim = walks.walk_spectrum(system, alpha)
-        rows = [{"alpha": ",".join("%.17g" % a for a in alpha), "dim": dim}]
-        _emit(rows, ["alpha", "dim"], args)
+        names = ["alpha"] if system.dim == 1 else [f"alpha_{i + 1}" for i in range(system.dim)]
+        rows = [{**{name: "%.17g" % a for name, a in zip(names, alpha)}, "dim": dim}]
+        _emit(rows, [*names, "dim"], args)
         return EXIT_OK
     if system.dim != 1:
         raise ValidationError("--grid spectra need a one-dimensional system; use --alpha")

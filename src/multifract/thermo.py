@@ -383,64 +383,91 @@ def level_domain(potential: Potential) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
-    """s in [-ENDPOINT_S, ENDPOINT_S] with P'(s) = alpha, or None when P' misses alpha there.
+# Newton bounds, on s times `unit` and on slopes divided by `unit`
+_STEP_MAX = 4.0  # least cap on one Newton step; the cap grows as |s| unit
+_STEP_TOL = 1e-7  # a step this small leaves an error of order its square
+_GRAD_TOL = 1e-10
+_NEWTON_CAP = 100
+_HALVINGS = 30  # step halvings before Newton gives up on lowering the residual
 
-    The bracket doubles outward from [-1, 1], whose ends are one batched
-    solve, and is capped at the horizon, so every alpha inside
-    :func:`level_domain` is bracketed. Newton steps
-    s <- s - (P'(s) - alpha) / P''(s) on the exact P'' then start from the
-    secant point of the bracket; each step that would leave the bracket, or
-    meets P'' <= 0, is replaced by bisection, and every solve shrinks the
-    bracket. It stops when the Newton step falls below 1e-12 (relative to
-    max(1, |s|)) or the bracket is that narrow.
+
+def newton_slope(derivatives, alpha: np.ndarray, unit: float, box: float) -> np.ndarray | None:
+    """s with grad P(s) = alpha by damped Newton from s = 0, or None where it finds none.
+
+    `derivatives(s)` gives grad P(s) and the Hessian of a convex P whose
+    gradient has the scale `unit`. Each step is a least-squares solve, capped
+    at max(_STEP_MAX, |s| unit) / unit so a saturating gradient sends s out
+    geometrically, and halved until |grad P - alpha| falls: plain Newton can
+    cycle on a sigmoid gradient. It stops on a residual below _GRAD_TOL unit,
+    or a stalled step; the caller checks that s. None: a trial step reached
+    |s| unit >= box, no halving lowered the residual, or _NEWTON_CAP steps passed.
     """
-    lo, hi = -1.0, 1.0
-    f_lo, f_hi = map(float, pressure_derivative(potential, np.array([lo, hi])))
-    while f_lo > alpha:
-        if lo <= -ENDPOINT_S:
-            return None
-        lo = max(2 * lo, -ENDPOINT_S)
-        f_lo = pressure_derivative(potential, lo)
-    while f_hi < alpha:
-        if hi >= ENDPOINT_S:
-            return None
-        hi = min(2 * hi, ENDPOINT_S)
-        f_hi = pressure_derivative(potential, hi)
-    s = lo if f_hi == f_lo else lo + (alpha - f_lo) * (hi - lo) / (f_hi - f_lo)
-    for _ in range(200):
-        sol = solve_psi(potential, s)
-        if sol.derivative < alpha:
-            lo = s
-        else:
-            hi = s
-        curvature = pressure_second_derivative(potential, sol)
-        step = (sol.derivative - alpha) / curvature if curvature > 0 else math.inf
-        if abs(step) < 1e-12 * max(1.0, abs(s)):
+    s = np.zeros(len(alpha))
+    grad, hess = derivatives(s)
+    for _ in range(_NEWTON_CAP):
+        residual = grad - alpha
+        step = np.linalg.lstsq(hess, residual, rcond=None)[0]
+        size = float(np.abs(step).max()) * unit
+        step /= max(1.0, size / max(_STEP_MAX, float(np.abs(s).max()) * unit))
+        if size < _STEP_TOL or np.abs(residual).max() < _GRAD_TOL * unit:
             return s - step
-        s = s - step if lo < s - step < hi else 0.5 * (lo + hi)
-        if hi - lo < 1e-12 * max(1.0, abs(lo) + abs(hi)):
-            break
-    return s
+        norm = residual @ residual
+        for _ in range(_HALVINGS):
+            trial = s - step
+            if np.abs(trial).max() * unit >= box:
+                return None
+            grad, hess = derivatives(trial)
+            if (grad - alpha) @ (grad - alpha) < norm:
+                break
+            step /= 2
+        else:
+            return None  # no step lowers the residual
+        s = trial
+    return None
+
+
+def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
+    """s in (-ENDPOINT_S, ENDPOINT_S) with P'(s) = alpha, or None when P' misses alpha there.
+
+    :func:`newton_slope` on the exact P' and P'' (:func:`solve_psi`,
+    :func:`pressure_second_derivative`), with the table's half-range as the
+    unit and the horizon as the box. One :func:`pressure_derivative` call
+    checks the s it returns: |P'(s) - alpha| must be below _GRAD_TOL unit.
+    """
+    unit = 0.5 * (potential.alpha_max - potential.alpha_min) or 1.0  # 1 if P' is constant
+
+    def derivatives(s):
+        sol = solve_psi(potential, float(s[0]))
+        return np.array([sol.derivative]), np.array([[pressure_second_derivative(potential, sol)]])
+
+    s = newton_slope(derivatives, np.array([float(alpha)]), unit, ENDPOINT_S * unit)
+    if s is None or not abs(pressure_derivative(potential, s[0]) - alpha) < _GRAD_TOL * unit:
+        return None
+    return float(s[0])
 
 
 def legendre_spectrum(potential: Potential, alpha: float) -> float:
     """Normalized Hausdorff spectrum (P(s_a) - s_a * alpha) / (q^{d-1} log m).
 
     Returns NaN (the out-of-domain marker) when no level set exists at alpha.
-    Levels between the horizon :func:`level_domain` and the hard bounds
-    [min phi, max phi] are evaluated at the horizon s = +/-ENDPOINT_S, not at
-    the s -> +/-inf limit.
+    Levels from the ends of the horizon :func:`level_domain` out to the hard
+    bounds [min phi, max phi] are evaluated at the horizon s = +/-ENDPOINT_S,
+    not at the s -> +/-inf limit. That value is an upper bound on the
+    spectrum, so where it is negative beyond rounding the level set is empty
+    and the answer is NaN.
     """
     if potential.is_constant:
         return 1.0 if alpha == potential.alpha_min else OUT_OF_DOMAIN
     lo, hi = level_domain(potential)
-    if alpha < lo or alpha > hi:
+    if alpha <= lo or alpha >= hi:
         if potential.alpha_min <= alpha <= potential.alpha_max:
-            s_end = -ENDPOINT_S if alpha < lo else ENDPOINT_S
-            return (pressure(potential, s_end) - s_end * alpha) / (
+            s_end = -ENDPOINT_S if alpha <= lo else ENDPOINT_S
+            bound = (pressure(potential, s_end) - s_end * alpha) / (
                 potential.q ** (potential.d - 1) * math.log(potential.m)
             )
+            # at alpha = P'(s_end) the bound is the spectrum, >= 0 up to the
+            # rounding of S P'(S), some S 1e-14: only below that is the set empty
+            return bound if bound > -1e-10 else OUT_OF_DOMAIN
         return OUT_OF_DOMAIN
     s_alpha = solve_pressure_slope(potential, alpha)
     if s_alpha is None:

@@ -19,12 +19,14 @@ from typing import Sequence
 import numpy as np
 
 from . import riesz
-from .errors import ValidationError
+from .errors import ConvergenceError, ValidationError
 from .symbolic import transition_matrix
+from .thermo import _GRAD_TOL, newton_slope
 
 OUT_OF_DOMAIN = float("nan")
 
 _EXP_GUARD = 600.0  # |<s, tau^j v>| beyond this is solved in the log domain
+_ROW_TOL = 1e-8  # most a row of the Perron chain Q may miss 1 by
 
 
 @dataclass(frozen=True)
@@ -190,7 +192,7 @@ def spectral_radius(matrix: np.ndarray) -> tuple[float, np.ndarray]:
 def _scaled_matrix(system: WalkSystem, s: np.ndarray) -> tuple[np.ndarray, float]:
     """(M_s exp(-scale), scale) with scale = max_j <s, tau^j v>, so no entry overflows."""
     exponents = system.orbit @ s
-    scale = float(np.max(exponents))
+    scale = float(exponents.max())
     return system.step_mask * np.exp(exponents - scale)[None, :], scale
 
 
@@ -212,11 +214,24 @@ def _perron_chain(system: WalkSystem, data: WalkPressure) -> tuple[np.ndarray, n
 
     pi is proportional to u t for the left Perron vector u; it comes from
     one p x p solve, pi^T = 1^T (I - Q + 1 1^T)^{-1}.
+
+    Q is stochastic only if t is an accurate Perron vector. Far out in s,
+    entries of t fall below rounding and the chain turns reducible; so a
+    row of Q missing 1 by more than _ROW_TOL, or a singular solve for pi,
+    raises ConvergenceError naming s.
     """
     matrix, _ = _scaled_matrix(system, data.s)
-    chain = matrix * data.t[None, :] / (data.lam * data.t[:, None])
-    pi = np.linalg.solve((np.eye(system.p) - chain + 1.0).T, np.ones(system.p))
-    return chain, pi
+    scaled = data.lam * data.t
+    defect = np.abs(matrix @ data.t - scaled)  # row i of Q misses 1 by defect_i / scaled_i
+    if (defect < _ROW_TOL * scaled).all():  # false where t has a NaN
+        chain = matrix * data.t[None, :] / scaled[:, None]
+        try:
+            return chain, np.linalg.solve((np.eye(system.p) - chain + 1.0).T, np.ones(system.p))
+        except np.linalg.LinAlgError:
+            pass
+    with np.errstate(all="ignore"):
+        miss = float(np.max(defect / scaled))
+    raise ConvergenceError(f"Perron vector lost to rounding at s={data.s.tolist()}", miss)
 
 
 def _derivatives(system: WalkSystem, s) -> tuple[np.ndarray, np.ndarray]:
@@ -250,59 +265,29 @@ def _as_param(system: WalkSystem, s) -> np.ndarray:
     return arr
 
 
-# Newton bounds, on s times max |f| and on drifts divided by max |f|
-_S_MAX = 60.0  # this far out, alpha saturates the drift range
-_STEP_MAX = 4.0  # hard cap on one Newton step
-_STEP_TOL = 1e-7  # a step this small leaves an error of order its square
-_GRAD_TOL = 1e-10
-_NEWTON_CAP = 100
-_HALVINGS = 30  # step halvings before the residual is taken to be at rounding level
+_S_MAX = 60.0  # on s times max |f|: this far out, alpha saturates the drift range
 
 
 def solve_gradient(system: WalkSystem, alpha) -> np.ndarray | None:
     """s with grad P(s) = alpha, or None when alpha is outside the drift range.
 
-    Newton from s = 0 on the exact Hessian, each step a least-squares solve
-    capped at _STEP_MAX and halved until |grad P - alpha| falls: plain
-    Newton can cycle on a sigmoid gradient, and its step points downhill for
-    that residual. A drift range of lower dimension makes the Hessian singular across its
-    affine hull; the least-squares step then moves s within the hull only.
-    Newton stops once the gradient matches alpha or the step stalls, and the
-    last step's s is checked against the exact gradient: alpha off that hull
-    gives None, and so does alpha on or past the range's boundary, which
-    sends s out to the _S_MAX box. Every bound is taken relative to the
-    drift unit max |f|, so scaling v leaves the answer the same.
+    :func:`thermo.newton_slope` on the exact gradient and Hessian, in the
+    drift unit max |f| (so scaling v leaves the answer the same) and the
+    _S_MAX box. On a drift range of lower dimension the Hessian is singular
+    across its affine hull, and the least-squares steps stay in the hull.
+    The exact gradient checks the s it returns: alpha off the hull, or on or
+    past the range's boundary, sends s to the box or to where the Perron
+    chain is lost to rounding (ConvergenceError), and gives None.
     """
     alpha = np.atleast_1d(np.asarray(alpha, dtype=float))
     unit = float(np.max(np.abs(system.orbit)))
-    s = np.zeros(system.dim)
-    grad, hess = _derivatives(system, s)
-    for _ in range(_NEWTON_CAP):
-        residual = grad - alpha
-        step = np.linalg.lstsq(hess, residual, rcond=None)[0]
-        size = float(np.max(np.abs(step))) * unit
-        step /= max(1.0, size / _STEP_MAX)
-        if size < _STEP_TOL or np.max(np.abs(residual)) < _GRAD_TOL * unit:
-            s = s - step
-            break
-        norm = residual @ residual
-        for _ in range(_HALVINGS):
-            trial = s - step
-            if np.max(np.abs(trial)) * unit >= _S_MAX:
-                return None
-            try:
-                grad, hess = _derivatives(system, trial)
-            except np.linalg.LinAlgError:  # Q is reducible to rounding: s is past the range
-                return None
-            if (grad - alpha) @ (grad - alpha) < norm:
-                break
-            step /= 2
-        else:
-            break  # no step lowers the residual: it is at rounding level
-        s = trial
-    else:
+    try:
+        s = newton_slope(lambda s: _derivatives(system, s), alpha, unit, _S_MAX)
+        if s is None or not np.abs(pressure_gradient(system, s) - alpha).max() < _GRAD_TOL * unit:
+            return None
+    except ConvergenceError:
         return None
-    return s if np.max(np.abs(pressure_gradient(system, s) - alpha)) < _GRAD_TOL * unit else None
+    return s
 
 
 def walk_spectrum(system: WalkSystem, alpha) -> float:

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -163,6 +164,30 @@ class TestWalkCommand:
         )
         assert run(["walk", "--system", str(system), "--alpha", "0.5,0.5,0"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == "0.5,0.5,0,nan"
+
+    def test_json_writes_nan_as_null(self, capsys):
+        assert run(["walk", "--system", "case1", "--alpha", "1.2", "--format", "json"]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        rows = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert rows == [{"alpha": "1.2", "dim": None}]
+
+    def test_csv_header_names_each_coordinate(self, capsys):
+        assert run(["walk", "--system", "case2", "--alpha", "0.1,0.2"]) == 0
+        header, row = csv.reader(capsys.readouterr().out.splitlines())
+        assert header == ["alpha_1", "alpha_2", "dim"]
+        assert len(row) == 3
+
+    def test_lost_perron_vector_is_numeric_error(self, tmp_path, capfd):
+        # parity18 of tests/test_walks.py: at s = 50 the Perron vector is lost
+        # to rounding, where the grid printed 50,nan,nan and exited 0
+        system = tmp_path / "parity18.json"
+        system.write_text(json.dumps({"p": 18, "tau": [[-1]], "v": [1], "A": [0, *range(1, 18, 2)]}))
+        assert run(["walk", "--system", str(system), "--grid=0:50:2"]) == cli.EXIT_NUMERIC
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "s=[50.0]" in err[0], err
 
 
 class TestSampleAndRiesz:

@@ -236,6 +236,83 @@ class TestSpectrum:
             assert 0.0 <= value <= 1.0 + 1e-12
 
 
+def count_fixed_points(monkeypatch) -> list[int]:
+    """Patch thermo.fixed_point to count its calls into the returned one-item list."""
+    calls = [0]
+    fixed_point = thermo.fixed_point
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return fixed_point(*args, **kwargs)
+
+    monkeypatch.setattr(thermo, "fixed_point", counting)
+    return calls
+
+
+class TestNewtonSlope:
+    @staticmethod
+    def parity18_derivatives(s):
+        # the lumped P(s) = log(cosh s + sqrt(cosh^2 s + 80)) of the p = 18
+        # parity walk: P' = sinh s / r and P'' = 81 cosh s / r^3, r = sqrt(cosh^2 s + 80)
+        c = math.cosh(s[0])
+        r = math.sqrt(c * c + 80)
+        return np.array([math.sinh(s[0]) / r]), np.array([[81 * c / r**3]])
+
+    @pytest.mark.parametrize("alpha", [0.5, 0.7, -0.6])
+    def test_sigmoid_gradient(self, alpha):
+        s = thermo.newton_slope(self.parity18_derivatives, np.array([alpha]), 1.0, 60.0)
+        assert abs(self.parity18_derivatives(s)[0][0] - alpha) < 1e-10
+
+    def test_saturated_gradient_leaves_the_box(self):
+        assert thermo.newton_slope(self.parity18_derivatives, np.array([1.1]), 1.0, 60.0) is None
+
+    @pytest.mark.parametrize("alpha", [1.5, -1.0001])
+    def test_slope_outside_range_is_none(self, alpha):
+        assert thermo.solve_pressure_slope(thermo.rademacher_potential(2, 2), alpha) is None
+
+    def test_deep_saturation_in_few_solves(self, monkeypatch):
+        # the step cap grows with |s|, so s = 35 is reached geometrically
+        table = 6 * np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3))
+        phi = thermo.Potential(m=3, q=2, d=3, table=table)
+        alpha = thermo.pressure_derivative(phi, 35.0)
+        calls = count_fixed_points(monkeypatch)
+        s = thermo.solve_pressure_slope(phi, alpha)
+        assert s == pytest.approx(35.0, abs=1e-6)
+        assert calls[0] <= 25
+
+    @pytest.mark.parametrize("s", [-3.0, -1.0, 0.5, 2.5])
+    def test_solves_per_level_random_table(self, monkeypatch, s):
+        table = np.random.default_rng(20141).uniform(-1.0, 1.0, (3, 3, 3))
+        phi = thermo.Potential(m=3, q=2, d=3, table=table)
+        alpha = thermo.pressure_derivative(phi, s)
+        calls = count_fixed_points(monkeypatch)
+        value = thermo.legendre_spectrum(phi, alpha)
+        assert calls[0] <= 10
+        assert value == pytest.approx(thermo.ruelle_dimension(phi, s), abs=1e-12)
+
+    def test_negative_horizon_bound_is_nan(self):
+        # beyond level_domain the horizon value bounds the spectrum from above;
+        # it is negative above alpha = 0.71731 and below -0.86167 on this table
+        table = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3))
+        phi = thermo.Potential(m=3, q=2, d=3, table=table)
+        lo, hi = thermo.level_domain(phi)
+        assert hi < 0.7 < 0.7173 and lo > -0.8616
+        for alpha in (0.75, phi.alpha_max, -0.8617, phi.alpha_min):
+            assert math.isnan(thermo.legendre_spectrum(phi, alpha)), alpha
+        for alpha in (0.7, 0.7173, -0.8616):
+            assert thermo.legendre_spectrum(phi, alpha) > 0.0, alpha
+
+    def test_horizon_ends_are_the_horizon_values(self):
+        # P' still rises at s = 40 on this table, so Newton towards alpha =
+        # P'(+/-40) could step past the horizon; the ends read the horizon value
+        table = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 3, 3))
+        phi = thermo.Potential(m=3, q=2, d=3, table=table)
+        for s, alpha in zip((-40.0, 40.0), thermo.level_domain(phi)):
+            assert thermo.legendre_spectrum(phi, alpha) == pytest.approx(
+                thermo.ruelle_dimension(phi, s), abs=1e-12
+            )
+
+
 class TestMarkovMeasure:
     def test_rows_are_stochastic(self):
         phi = thermo.indicator_potential(2, 2)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multifract import riesz, walks
-from multifract.errors import ValidationError
+from multifract.errors import ConvergenceError, ValidationError
 
 LOG2 = math.log(2)
 
@@ -308,6 +308,13 @@ class TestSigmoidGradient:
     def test_outside_range_is_nan(self, alpha):
         # far out the Perron chain is reducible to rounding; that too is NaN
         assert math.isnan(walks.walk_spectrum(parity18(), [alpha]))
+
+    @pytest.mark.parametrize("s", [50.0, 60.0])
+    def test_lost_perron_vector_fails_fast(self, s):
+        # the odd residues' share of t falls below rounding from s = 20 on,
+        # where the gradient read NaN (s = 50) or 0.99999928 (s = 60)
+        with pytest.raises(ConvergenceError, match=f"s=\\[{s}\\]"):
+            walks.pressure_gradient(parity18(), [s])
 
 
 class TestEvolutionMeasure:
