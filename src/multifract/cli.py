@@ -150,7 +150,11 @@ def cmd_riesz(args) -> int:
         raise ValidationError(f"--n must be at least --d = {args.d} to average, got {args.n}")
     path = riesz.sample(measure, args.n, args.seed)
     if args.out:
-        Path(args.out).write_text("\n".join("%+d" % u for u in path) + "\n")
+        lines = np.empty((len(path), 3), dtype=np.uint8)  # "+1\n" or "-1\n" per symbol
+        lines[:, 0] = np.where(path > 0, ord("+"), ord("-"))
+        lines[:, 1] = ord("1")
+        lines[:, 2] = ord("\n")
+        Path(args.out).write_bytes(lines.tobytes())
     avg = riesz.walsh_average(path, args.d, args.n // args.d)
     sys.stdout.write(
         json.dumps({"d": args.d, "b": args.b, "n": args.n, "seed": args.seed,
@@ -166,7 +170,11 @@ def cmd_sample(args) -> int:
         base = telescopic.BaseMeasure.from_json(_read_config(args.measure))
     measure = telescopic.TelescopicMeasure(base=base, q=args.q)
     path = telescopic.sample(measure, args.n, args.seed)
-    _write("".join(str(int(a)) for a in path.symbols) + "\n", args)
+    if base.m <= 10:  # one digit per symbol: the digits' bytes at once
+        text = (path.symbols + ord("0")).astype(np.uint8).tobytes().decode("ascii")
+    else:
+        text = "".join(str(int(a)) for a in path.symbols)
+    _write(text + "\n", args)
     return EXIT_OK
 
 

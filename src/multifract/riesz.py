@@ -82,11 +82,11 @@ def cylinder_mass(measure: WalshRieszMeasure, u: Sequence[int]) -> float:
     n = arr.size
     if n == 0:
         return 1.0
+    signs = arr.tolist()  # words are short: Python products beat a numpy call per block
     mass = 2.0 ** (-n)
     d = measure.d
     for k in range(1, n // d + 1):
-        block = arr[np.arange(1, d + 1) * k - 1]
-        mass *= 1.0 + measure.b * float(np.prod(block))
+        mass *= 1.0 + measure.b * math.prod(signs[k - 1 : d * k : k])
     return mass
 
 
@@ -97,8 +97,10 @@ def block_products(x: Sequence[int], d: int, n: int) -> np.ndarray:
         raise ValidationError("d and n must be >= 1")
     if d * n > arr.size:
         raise ValidationError(f"need {d * n} symbols for n={n}, d={d}, got {arr.size}")
-    idx = np.outer(np.arange(1, n + 1), np.arange(1, d + 1)) - 1
-    return np.prod(arr[idx], axis=1)
+    out = arr[:n].copy()
+    for t in range(2, d + 1):
+        out *= arr[t - 1 : t * n : t]  # x_t, x_2t, ..., x_nt
+    return out
 
 
 def walsh_average(x: Sequence[int], d: int, n: int) -> float:
@@ -169,7 +171,13 @@ def sample(measure: WalshRieszMeasure, n: int, seed: int) -> np.ndarray:
 
     Positions off the block-final lattice are fair signs; at position dk
     the sign is biased by b times the product of the earlier block entries.
-    Deterministic per seed (counter-based generator).
+    Position i takes the i-th Philox draw, so the path depends only on
+    (n, seed).
+
+    The conditionals are set a block of k at a time. Among u_tk (t < d),
+    the block-final ones are u_dk' with k' <= (d-1)k/d, so every k up to
+    (lo d - 1)/(d - 1) depends only on k' < lo: O(log n) array steps, one
+    for d = 1.
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
@@ -177,13 +185,17 @@ def sample(measure: WalshRieszMeasure, n: int, seed: int) -> np.ndarray:
     uniforms = rng.random(n)
     out = np.where(uniforms < 0.5, 1, -1).astype(np.int64)
     d, b = measure.d, measure.b
-    for pos in range(d, n + 1, d):
-        k = pos // d
-        rest = 1
+    k_max = n // d
+    lo = 1
+    while lo <= k_max:
+        hi = k_max if d == 1 else min(k_max, (lo * d - 1) // (d - 1))
+        rest = np.ones(hi - lo + 1, dtype=np.int64)
         for t in range(1, d):
-            rest *= int(out[t * k - 1])
+            rest *= out[t * lo - 1 : t * hi : t]  # u_tk for k = lo..hi
         p_plus = (1.0 + b * rest) / 2.0
-        out[pos - 1] = 1 if uniforms[pos - 1] < p_plus else -1
+        final = slice(d * lo - 1, d * hi, d)  # u_dk for k = lo..hi
+        out[final] = np.where(uniforms[final] < p_plus, 1, -1)
+        lo = hi + 1
     return out
 
 

@@ -233,15 +233,28 @@ def dimension(measure: TelescopicMeasure, tol: float = 1e-10) -> float:
 
 
 def _chain_lengths(q: int, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Bases i (q coprime, ascending) and the length of each chain within [1, n]."""
-    bases = np.array([i for i in range(1, n + 1) if i % q != 0], dtype=np.int64)
-    lengths = np.floor(np.log(n / bases) / math.log(q)).astype(np.int64) + 1
-    # guard against float rounding at exact powers
-    for idx in np.nonzero(bases * q**lengths <= n)[0]:
-        lengths[idx] += 1
-    for idx in np.nonzero(bases * q ** (lengths - 1) > n)[0]:
-        lengths[idx] -= 1
+    """Bases i (not divisible by q, ascending) and the length of each chain within [1, n].
+
+    A chain counts at level L while i q^L <= n, that is i <= n // q^L: a
+    prefix of the ascending bases, so the lengths are exact integers.
+    """
+    bases = np.arange(1, n + 1, dtype=np.int64)
+    bases = bases[bases % q != 0]
+    lengths = np.zeros(len(bases), dtype=np.int64)
+    power = 1
+    while power <= n:
+        lengths[: np.searchsorted(bases, n // power, side="right")] += 1
+        power *= q
     return bases, lengths
+
+
+def _philox_draws(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniforms start, ..., start + count - 1 of the Philox(seed) stream."""
+    bitgen = np.random.Philox(seed)
+    bitgen.advance(start // 4)  # one counter step yields four draws
+    rng = np.random.Generator(bitgen)
+    rng.random(start % 4)
+    return rng.random(count)
 
 
 def sample(measure: TelescopicMeasure, n: int, seed: int) -> SamplePath:
@@ -249,22 +262,22 @@ def sample(measure: TelescopicMeasure, n: int, seed: int) -> SamplePath:
 
     All chains are drawn level-synchronously from a fixed-layout table of
     Philox counter-based uniforms, so the output depends only on (n, seed):
-    column i of the table is the substream of the i-th chain.
+    the table is levels x chains in row-major order, and column i is the
+    substream of the i-th chain. Each row is drawn only over its active
+    prefix of chains: the generator jumps to the row's start with
+    ``Philox.advance`` and leaves the inactive tail undrawn.
     """
     if n < 1:
         raise ValidationError(f"horizon must be >= 1, got {n}")
     base, q = measure.base, measure.q
     bases, lengths = _chain_lengths(q, n)
-    levels = int(lengths.max())
-    rng = np.random.Generator(np.random.Philox(seed))
-    table = rng.random((levels, len(bases)))
+    levels = int(lengths[0])  # the chain of base 1 is the longest
     out = np.empty(n, dtype=np.int64)
     marginals = base.prefix_marginals()
     context = np.zeros(len(bases), dtype=np.int64)
     for level in range(levels):
-        active = lengths > level  # chains sorted by base, active is a prefix
-        count = int(active.sum())
-        u = table[level, :count]
+        count = int(np.count_nonzero(lengths > level))  # chains sorted by base, active is a prefix
+        u = _philox_draws(seed, level * len(bases), count)
         ctx = context[:count]
         if level < base.order:
             # conditional of the initial law given the first `level` symbols
@@ -272,11 +285,12 @@ def sample(measure: TelescopicMeasure, n: int, seed: int) -> SamplePath:
             den = marginals[level]
             with np.errstate(invalid="ignore", divide="ignore"):
                 probs = np.where(den[:, None] > 0, num / den[:, None], 1.0 / base.m)
-            rows = probs[ctx]
         else:
-            rows = base.kernel[ctx]
-        cum = np.cumsum(rows, axis=1)
-        symbols = (u[:, None] > cum).sum(axis=1)
+            probs = base.kernel
+        # the symbol is the number of cumulative masses below u
+        symbols = np.zeros(count, dtype=np.int64)
+        for cum in np.cumsum(probs, axis=1).T:
+            symbols += u > cum[ctx]
         np.clip(symbols, 0, base.m - 1, out=symbols)
         positions = bases[:count] * q**level
         out[positions - 1] = symbols

@@ -17,6 +17,46 @@ def all_sign_words(n):
     return itertools.product((1, -1), repeat=n)
 
 
+def numpy_cylinder_mass(measure, u):
+    """The per-block numpy formula that `cylinder_mass` replaced, as a reference."""
+    arr = np.asarray(u, dtype=np.int64)
+    n = arr.size
+    if n == 0:
+        return 1.0
+    mass = 2.0 ** (-n)
+    d = measure.d
+    for k in range(1, n // d + 1):
+        block = arr[np.arange(1, d + 1) * k - 1]
+        mass *= 1.0 + measure.b * float(np.prod(block))
+    return mass
+
+
+def loop_sample(measure, n, seed):
+    """The per-position loop that `sample` replaced, as a reference."""
+    rng = np.random.Generator(np.random.Philox(seed))
+    uniforms = rng.random(n)
+    out = np.where(uniforms < 0.5, 1, -1).astype(np.int64)
+    d, b = measure.d, measure.b
+    for pos in range(d, n + 1, d):
+        k = pos // d
+        rest = 1
+        for t in range(1, d):
+            rest *= int(out[t * k - 1])
+        p_plus = (1.0 + b * rest) / 2.0
+        out[pos - 1] = 1 if uniforms[pos - 1] < p_plus else -1
+    return out
+
+
+def block_edges(d, k_max):
+    """First and last k of each array step of `sample` with n // d = k_max."""
+    edges, lo = [], 1
+    while lo <= k_max:
+        hi = k_max if d == 1 else min(k_max, (lo * d - 1) // (d - 1))
+        edges += [lo, hi]
+        lo = hi + 1
+    return edges
+
+
 class TestWalshSpectrum:
     def test_peak_is_one(self):
         for d in range(1, 7):
@@ -79,6 +119,14 @@ class TestCylinderMass:
         with pytest.raises(ValidationError):
             riesz.cylinder_mass(riesz.WalshRieszMeasure(2, 0.5), (1, 0))
 
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    @pytest.mark.parametrize("b", [-0.8, 0.6, 1.0])
+    def test_equals_numpy_formula_bit_for_bit(self, d, b):
+        m = riesz.WalshRieszMeasure(d, b)
+        for n in range(11):
+            for u in all_sign_words(n):
+                assert riesz.cylinder_mass(m, u) == numpy_cylinder_mass(m, u)
+
 
 class TestFourier:
     def test_trivial_character(self):
@@ -118,6 +166,26 @@ class TestSampling:
         m = riesz.WalshRieszMeasure(2, 0.4)
         assert np.array_equal(riesz.sample(m, 200, seed=1), riesz.sample(m, 200, seed=1))
         assert not np.array_equal(riesz.sample(m, 200, seed=1), riesz.sample(m, 200, seed=2))
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 6])
+    def test_equals_loop_near_block_edges(self, d):
+        # n < d, n = d, and n = d k - 1, d k, d k + 1 around the first and
+        # last k of every array step
+        ns = set(range(1, 4 * d + 2))
+        for k in block_edges(d, 5000 // d):
+            ns |= {d * k - 1, d * k, d * k + 1}
+        for b in (0.7, -0.5, 1.0):
+            m = riesz.WalshRieszMeasure(d, b)
+            for n in sorted(ns - {0}):
+                for seed in (0, 5):
+                    assert np.array_equal(riesz.sample(m, n, seed), loop_sample(m, n, seed)), (b, n, seed)
+
+    def test_block_products_match_index_matrix(self):
+        x = riesz.sample(riesz.WalshRieszMeasure(3, 0.2), 301, seed=2)
+        for d in (1, 2, 3, 5):
+            n = 301 // d
+            idx = np.outer(np.arange(1, n + 1), np.arange(1, d + 1)) - 1
+            assert np.array_equal(riesz.block_products(x, d, n), np.prod(x[idx], axis=1))
 
     def test_fair_case(self):
         path = riesz.sample(riesz.WalshRieszMeasure(2, 0.0), 100_000, seed=3)

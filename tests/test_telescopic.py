@@ -178,7 +178,39 @@ class TestDimension:
             assert telescopic.marginal_entropy(base, k) == pytest.approx(direct, abs=1e-10)
 
 
+def float_chain_lengths(q, n):
+    """The float-log chain lengths with rounding fix-ups that `_chain_lengths` replaced."""
+    bases = np.array([i for i in range(1, n + 1) if i % q != 0], dtype=np.int64)
+    lengths = np.floor(np.log(n / bases) / math.log(q)).astype(np.int64) + 1
+    for idx in np.nonzero(bases * q**lengths <= n)[0]:
+        lengths[idx] += 1
+    for idx in np.nonzero(bases * q ** (lengths - 1) > n)[0]:
+        lengths[idx] -= 1
+    return bases, lengths
+
+
+class TestChainLengths:
+    @pytest.mark.parametrize("q, top", [(2, 16), (3, 10), (5, 7)])
+    def test_exact_powers(self, q, top):
+        # n = q^L and q^L +- 1, where log(n / i) / log q rounds either way
+        for n in sorted({q**L + e for L in range(top + 1) for e in (-1, 0, 1)} - {0}):
+            bases, lengths = telescopic._chain_lengths(q, n)
+            want_bases, want_lengths = float_chain_lengths(q, n)
+            assert np.array_equal(bases, want_bases) and np.array_equal(lengths, want_lengths), n
+            # every position of [1, n] lies on exactly one chain, and each chain ends inside it
+            assert int(lengths.sum()) == n
+            assert np.all(bases * q ** (lengths - 1) <= n) and np.all(bases * q**lengths > n)
+
+
 class TestSampling:
+    def test_philox_draws_are_stream_slices(self):
+        stream = np.random.Generator(np.random.Philox(13)).random(64)
+        for start in range(24):
+            for count in (0, 1, 5, 17):
+                assert np.array_equal(
+                    telescopic._philox_draws(13, start, count), stream[start : start + count]
+                )
+
     def test_reproducible(self):
         measure = telescopic.TelescopicMeasure(base=telescopic.BaseMeasure.uniform(2), q=2)
         a = telescopic.sample(measure, 500, seed=3)

@@ -192,10 +192,9 @@ class TestSpectrum:
 
     @pytest.mark.parametrize("q, d", [(2, 2), (2, 3), (3, 2)])
     def test_solves_per_level(self, monkeypatch, q, d):
-        # Newton on the exact P'' from the secant point of the bracket, with
-        # level_domain, the bracket and the final pressure all counted as
-        # kernel calls: the two horizon ends are one batched call, and so are
-        # the two first bracket ends
+        # damped Newton from s = 0 on the exact P'', with level_domain, every
+        # Newton trial, the closing P' check and the final pressure all
+        # counted as kernel calls: the two horizon ends are one batched call
         solves = 0
         fixed_point = thermo.fixed_point
 
