@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -22,8 +23,8 @@ from .telescopic import BaseMeasure
 #: Returned by spectrum queries for levels whose level set is empty.
 OUT_OF_DOMAIN = float("nan")
 
-#: Parameter magnitude used to approximate the s -> +/-inf endpoints.
-ENDPOINT_S = 40.0
+#: Ground-state gaps within this many half-ranges of the table are ties (argmax edges).
+_TIE_TOL = 1e-12
 
 _FIXED_POINT_TOL = 1e-14
 _FIXED_POINT_CAP = 100_000
@@ -52,22 +53,60 @@ class Potential:
             raise ValidationError(f"q must be >= 2, got {self.q}")
         if self.d < 2:
             raise ValidationError(f"d must be >= 2, got {self.d}")
-        table = np.asarray(self.table, dtype=float)
+        table = np.array(self.table, dtype=float)  # a read-only copy: `_operator` is cached
         if table.shape != (self.m,) * self.d:
             raise ValidationError(
                 f"table must have shape {(self.m,) * self.d}, got {table.shape}"
             )
         if not np.all(np.isfinite(table)):
             raise ValidationError("table contains non-finite entries")
+        table.setflags(write=False)
         object.__setattr__(self, "table", table)
 
     @property
     def alpha_min(self) -> float:
+        """min phi, a hard bound on the levels; the attainable ones are :func:`level_domain`."""
         return float(self.table.min())
 
     @property
     def alpha_max(self) -> float:
+        """max phi, a hard bound on the levels; the attainable ones are :func:`level_domain`."""
         return float(self.table.max())
+
+    @cached_property
+    def _operator(self):
+        """(phi, child, shift, gap, drops, top), made on first use.
+
+        phi is the table less shift as (m^{d-1}, m), child the shifted-child codes.
+        Max-plus ground states of phi (side 0) and -phi (side 1): q beta = max_j (phi
+        + beta[child]) by policy iteration, and beta_k(u) = max_j beta_{k+1}(uj) / q.
+        gap = phi + beta[child] - q beta (2, n, m), drops[k] = beta_k less its largest
+        sibling (2, m^k), top = max beta_1 (2,); gaps and drops are <= 0, and 0 on ties.
+        """
+        m, q, d = self.m, self.q, self.d
+        shift = 0.5 * (self.alpha_min + self.alpha_max)
+        phi = self.table.reshape(m ** (d - 1), m) - shift
+        # (a_1..a_{d-1}) -> code of (a_2..a_{d-1}, j): drop leading digit, append j
+        child = (np.arange(m ** (d - 1)) % m ** (d - 2) * m)[:, None] + np.arange(m)
+        sides, rows, signed = np.arange(2)[:, None], np.arange(len(child)), np.stack([phi, -phi])
+        tol, policy = _TIE_TOL * 0.5 * (self.alpha_max - self.alpha_min), signed.argmax(axis=2)
+        while True:  # each row moves to an edge that beats its own by more than tol
+            system = np.repeat(q * np.eye(len(child))[None], 2, axis=0)
+            system[sides, rows, child[rows, policy]] -= 1.0
+            beta = np.linalg.solve(system, signed[sides, rows, policy][:, :, None])[:, :, 0]
+            value = signed + beta[:, child]
+            better = value.max(axis=2) > value[sides, rows, policy] + tol
+            if not better.any():
+                break
+            policy = np.where(better, value.argmax(axis=2), policy)
+        gap, drops = value - q * beta[:, :, None], {}
+        for k in range(d - 1, 0, -1):
+            blocks = beta.reshape(2, -1, m)
+            top = blocks.max(axis=2)
+            drops[k], beta = (blocks - top[:, :, None]).reshape(2, -1), top / q
+        for x in (gap, *drops.values()):
+            x[x >= -tol] = 0.0
+        return phi, child, shift, gap, drops, top[:, 0]
 
     @property
     def is_constant(self) -> bool:
@@ -142,15 +181,15 @@ def indicator_potential(q: int, d: int) -> Potential:
 
 @dataclass(frozen=True)
 class PsiSolution:
-    """Positive level functions psi^(k) on A^k for k = 1..d-1 at parameter s.
+    """Level functions psi^(k) on A^k for k = 1..d-1 at parameter s, as block laws.
 
     levels[k] is a flat array of length m^k indexed by the base-m code of the
-    word a_1..a_k (a_1 most significant). `kernel` is the stochastic kernel
-    K = W psi[child] / psi^q on level d-1 and `tangent` the tangent
-    g = d log psi / ds on that level; `pressure` and `derivative` are P(s),
-    P'(s). P''(s) is not stored: :func:`pressure_second_derivative` builds it
-    from `kernel` and `tangent` for the slope solver, so a forward solve pays
-    for no second linear system.
+    word a_1..a_k (a_1 most significant): psi^(k) over its sum on the block
+    a_1..a_{k-1} j, j in A. `kernel` is the stochastic kernel K = W psi[child]
+    / psi^q on level d-1 and `tangent` the tangent g = d log psi / ds on that
+    level; `pressure` and `derivative` are P(s), P'(s). P''(s) is not stored:
+    :func:`pressure_second_derivative` builds it from `kernel` and `tangent`
+    for the slope solver, so a forward solve pays for no second linear system.
     """
 
     s: float
@@ -161,18 +200,6 @@ class PsiSolution:
     iterations: int
     pressure: float
     derivative: float
-
-
-def _operator_data(potential: Potential):
-    """Centered table phi - shift as (m^{d-1}, m), the shifted-child codes, and the shift."""
-    m, d = potential.m, potential.d
-    shift = 0.5 * (potential.alpha_min + potential.alpha_max)
-    phi = potential.table.reshape(m ** (d - 1), m) - shift
-    codes = np.arange(m ** (d - 1))
-    # (a_1..a_{d-1}) -> code of (a_2..a_{d-1}, j): drop leading digit, append j
-    tcodes = (codes % (m ** (d - 2))) * m
-    child = tcodes[:, None] + np.arange(m)[None, :]
-    return phi, child, shift
 
 
 def operator_step(weights: np.ndarray, child: np.ndarray, psi: np.ndarray, q: float) -> np.ndarray:
@@ -261,26 +288,27 @@ def _solve_stack(potential: Potential, s: np.ndarray):
     if bad.any():
         raise ValidationError(f"s must be finite, got {float(s[bad][0])}")
     m, q, d = potential.m, potential.q, potential.d
-    phi, child, shift = _operator_data(potential)
-    with np.errstate(all="ignore"):
-        weights = np.exp(s[:, None, None] * phi)
-    psi, residual, iterations = fixed_point(weights.reshape(-1, m), child, q, s)
-    psi = psi.reshape(len(s), len(child))
-    kernel = weights * psi[:, child] / (psi**q)[:, :, None]
+    phi, child, shift, gap, drops, top = potential._operator
+    side, size = (s < 0).astype(int), np.abs(s)[:, None]
+    weights = np.exp(size[:, :, None] * gap[side])
+    chi, residual, iterations = fixed_point(weights.reshape(-1, m), child, q, s)
+    chi = chi.reshape(len(s), len(child))
+    kernel = weights * chi[:, child] / (chi**q)[:, :, None]
     rhs = (kernel * phi).sum(axis=2) / q
     tangent = np.linalg.solve(_tangent_matrix(kernel, child, q), rhs[:, :, None])[:, :, 0]
-    g = tangent
-    levels = {d - 1: psi}
-    for k in range(d - 2, 0, -1):
-        upper = levels[k + 1].reshape(len(s), m**k, m)
-        levels[k] = upper.sum(axis=2) ** (1.0 / q)
-        g = (upper * g.reshape(len(s), m**k, m)).sum(axis=2) / (q * upper.sum(axis=2))
+    g, levels = tangent, {}
+    for k in range(d - 2, -1, -1):
+        # psi_{k+1} over each block, in units of e^{|s| q beta_k} of the block's word
+        upper = (np.exp(size * drops[k + 1][side]) * chi).reshape(len(s), m**k, m)
+        total = upper.sum(axis=2)
+        levels[k + 1] = (upper / total[:, :, None]).reshape(len(s), m ** (k + 1))
+        g = (levels[k + 1] * g).reshape(len(s), m**k, m).sum(axis=2) / q
+        chi = total ** (1.0 / q)
     scale = (q - 1) * q ** (d - 2)
-    total = levels[1].sum(axis=1)
     # math.log, not np.log, whose vectorized path may round the last bit differently
-    pressure = scale * np.array([math.log(t) for t in total]) + s * shift
-    mean_g = np.matmul(levels[1][:, None, :], g[:, :, None])[:, 0, 0] / total
-    return levels, kernel, tangent, residual, iterations, pressure, scale * mean_g + shift
+    logs = np.array([math.log(t) for t in total[:, 0]])
+    pressure = scale * (size[:, 0] * top[side] + logs) + s * shift
+    return levels, kernel, tangent, residual, iterations, pressure, scale * q * g[:, 0] + shift
 
 
 def _pressure_stack(potential: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -299,13 +327,15 @@ def _pressure_stack(potential: Potential, s: np.ndarray) -> tuple[np.ndarray, np
 
 
 def solve_psi(potential: Potential, s: float) -> PsiSolution:
-    """Fixed point of psi -> (L_s psi)^(1/q) from psi = 1, with P(s) and exact P'(s).
+    """Fixed point of psi -> (L_s psi)^(1/q), with P(s) and exact P'(s), at any finite s.
 
     Every call solves afresh; it is the one-row case of the batched solve
     behind :func:`pressure_curve` and array :func:`pressure_derivative`. The
     solver works with the midrange-centered table phi - c; the fixed point
     rescales by kappa = exp(-s c / (q-1)), which shifts the raw pressure by
-    exactly -s c, so P gets s c back and P' gets c. Differentiating the fixed
+    exactly -s c, so P gets s c back and P' gets c. It iterates chi = psi e^{-|s| beta}
+    from chi = 1, beta the ground state of s phi / |s| (`Potential._operator`):
+    its weights exp(|s| gap) lie in [0, 1] at any s. Differentiating the fixed
     point, g = d log psi / ds solves the linear system g = K (phi + g[child]) / q
     with K the stochastic kernel (I - K/q is invertible as K/q has norm 1/q);
     g is then carried up the levels with psi.
@@ -320,11 +350,12 @@ def solve_psi(potential: Potential, s: float) -> PsiSolution:
 
 
 def operator_residual(potential: Potential, sol: PsiSolution) -> float:
-    """Sup-norm defect of the fixed-point equation at the solution, relative."""
-    phi, child, _ = _operator_data(potential)
-    psi = sol.levels[potential.d - 1]
-    image = operator_step(np.exp(sol.s * phi), child, psi, potential.q)
-    return float(np.max(np.abs(image - psi)) / np.max(np.abs(psi)))
+    """Sup-norm defect of the fixed-point equation at the solution, relative, row by row.
+
+    The kernel K = W psi[child] / psi^q has row sums (W psi / psi^q)(u), so
+    max_u |(sum_j K[u, j])^(1/q) - 1| is max_u |image(u) - psi(u)| / psi(u).
+    """
+    return float(np.max(np.abs(sol.kernel.sum(axis=1) ** (1.0 / potential.q) - 1.0)))
 
 
 def pressure(potential: Potential, s: float) -> float:
@@ -350,11 +381,11 @@ def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
     h = d^2 log psi / ds^2 solves (I - K/q) h = Var_K(phi + g[child]) / q,
     the variance taken per row u under K[u]; the variance is formed as a sum
     of squares, so h and P'' are >= 0 up to the solve's rounding. Up the
-    levels h_k = (E_w[h_{k+1}] + Var_w[g_{k+1}]) / q with w proportional to
-    psi_{k+1} in each block of m, and P'' = (q-1) q^{d-2} (E_w[h_1] + Var_w[g_1]).
+    levels h_k = (E_w[h_{k+1}] + Var_w[g_{k+1}]) / q with w the block law
+    `levels[k+1]`, and P'' = (q-1) q^{d-2} (E_w[h_1] + Var_w[g_1]).
     """
     m, q, d = potential.m, potential.q, potential.d
-    phi, child, _ = _operator_data(potential)
+    phi, child, *_ = potential._operator
     g = sol.tangent
     spread = phi + g[child] - q * g[:, None]
     h = np.linalg.solve(
@@ -363,7 +394,6 @@ def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
     # level 0 is psi_0^q = sum_j psi_1(j): one block, and P = (q-1) q^{d-1} log psi_0
     for k in range(d - 2, -1, -1):
         w = sol.levels[k + 1].reshape(m**k, m)
-        w = w / w.sum(axis=1, keepdims=True)
         g = g.reshape(m**k, m)
         mean = (w * g).sum(axis=1)
         var = (w * (g - mean[:, None]) ** 2).sum(axis=1)
@@ -373,14 +403,15 @@ def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
 
 
 def level_domain(potential: Potential) -> tuple[float, float]:
-    """[P'(-S), P'(+S)] at the horizon S = ENDPOINT_S: the levels the slope solve can reach.
+    """[lim P'(-inf), lim P'(+inf)], the attainable levels, from the ground states.
 
-    Both ends come from one batched solve. The attainable levels extend to
-    the limits of P' as s -> +/-inf; up to rounding, the horizon values fall
-    short of them by e^{-O(S)}.
+    P(s) - (q-1) q^{d-2} |s| top - s shift stays bounded, so the ends are shift
+    - (q-1) q^{d-2} top(-phi) and shift + (q-1) q^{d-2} top(phi), clipped to
+    [min phi, max phi] against rounding.
     """
-    lo, hi = pressure_derivative(potential, np.array([-ENDPOINT_S, ENDPOINT_S]))
-    return float(lo), float(hi)
+    q, (_, _, shift, _, _, top) = potential.q, potential._operator
+    hi, lo = shift + (q - 1) * q ** (potential.d - 2) * top * [1, -1]
+    return max(potential.alpha_min, float(lo)), min(potential.alpha_max, float(hi))
 
 
 # Newton bounds, on s times `unit` and on slopes divided by `unit`
@@ -427,12 +458,12 @@ def newton_slope(derivatives, alpha: np.ndarray, unit: float, box: float) -> np.
 
 
 def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
-    """s in (-ENDPOINT_S, ENDPOINT_S) with P'(s) = alpha, or None when P' misses alpha there.
+    """s with P'(s) = alpha, or None when Newton finds none, as outside :func:`level_domain`.
 
     :func:`newton_slope` on the exact P' and P'' (:func:`solve_psi`,
     :func:`pressure_second_derivative`), with the table's half-range as the
-    unit and the horizon as the box. One :func:`pressure_derivative` call
-    checks the s it returns: |P'(s) - alpha| must be below _GRAD_TOL unit.
+    unit and no box: every finite s solves. One :func:`pressure_derivative`
+    call checks the s it returns: |P'(s) - alpha| must be below _GRAD_TOL unit.
     """
     unit = 0.5 * (potential.alpha_max - potential.alpha_min) or 1.0  # 1 if P' is constant
 
@@ -440,7 +471,7 @@ def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
         sol = solve_psi(potential, float(s[0]))
         return np.array([sol.derivative]), np.array([[pressure_second_derivative(potential, sol)]])
 
-    s = newton_slope(derivatives, np.array([float(alpha)]), unit, ENDPOINT_S * unit)
+    s = newton_slope(derivatives, np.array([float(alpha)]), unit, math.inf)
     if s is None or not abs(pressure_derivative(potential, s[0]) - alpha) < _GRAD_TOL * unit:
         return None
     return float(s[0])
@@ -449,31 +480,29 @@ def solve_pressure_slope(potential: Potential, alpha: float) -> float | None:
 def legendre_spectrum(potential: Potential, alpha: float) -> float:
     """Normalized Hausdorff spectrum (P(s_a) - s_a * alpha) / (q^{d-1} log m).
 
-    Returns NaN (the out-of-domain marker) when no level set exists at alpha.
-    Levels from the ends of the horizon :func:`level_domain` out to the hard
-    bounds [min phi, max phi] are evaluated at the horizon s = +/-ENDPOINT_S,
-    not at the s -> +/-inf limit. That value is an upper bound on the
-    spectrum, so where it is negative beyond rounding the level set is empty
-    and the answer is NaN.
+    NaN (the out-of-domain marker) outside :func:`level_domain`, where no
+    level set exists; s_a from :func:`solve_pressure_slope` inside. Within
+    _TIE_TOL half-ranges of an end, the s -> +/-inf limit: exp(|s| gap) and
+    exp(|s| drop) become 0/1, so it is :func:`fixed_point` on the argmax edges.
     """
+    m, q, d = potential.m, potential.q, potential.d
     if potential.is_constant:
         return 1.0 if alpha == potential.alpha_min else OUT_OF_DOMAIN
     lo, hi = level_domain(potential)
-    if alpha <= lo or alpha >= hi:
-        if potential.alpha_min <= alpha <= potential.alpha_max:
-            s_end = -ENDPOINT_S if alpha <= lo else ENDPOINT_S
-            bound = (pressure(potential, s_end) - s_end * alpha) / (
-                potential.q ** (potential.d - 1) * math.log(potential.m)
-            )
-            # at alpha = P'(s_end) the bound is the spectrum, >= 0 up to the
-            # rounding of S P'(S), some S 1e-14: only below that is the set empty
-            return bound if bound > -1e-10 else OUT_OF_DOMAIN
+    tol = _TIE_TOL * 0.5 * (potential.alpha_max - potential.alpha_min)
+    if not lo - tol <= alpha <= hi + tol:
         return OUT_OF_DOMAIN
+    if alpha >= hi - tol or alpha <= lo + tol:
+        _, child, _, gap, drops, _ = potential._operator
+        side = int(alpha < hi - tol)  # 0 at alpha_max, 1 at alpha_min
+        chi = fixed_point((gap[side] == 0).astype(float), child, q, "on the argmax edges")[0]
+        for k in range(d - 1, 0, -1):
+            chi = ((drops[k][side] == 0) * chi).reshape(-1, m).sum(axis=1) ** (1.0 / q)
+        return (q - 1) * math.log(chi[0]) / math.log(m)  # as kps_hausdorff, at the root
     s_alpha = solve_pressure_slope(potential, alpha)
     if s_alpha is None:
         return OUT_OF_DOMAIN
-    value = pressure(potential, s_alpha) - s_alpha * alpha
-    return value / (potential.q ** (potential.d - 1) * math.log(potential.m))
+    return (pressure(potential, s_alpha) - s_alpha * alpha) / (q ** (d - 1) * math.log(m))
 
 
 def ruelle_dimension(potential: Potential, s: float) -> float:
@@ -485,18 +514,14 @@ def ruelle_dimension(potential: Potential, s: float) -> float:
 
 def markov_measure(potential: Potential, s: float) -> BaseMeasure:
     """The (d-1)-step Markov law (pi_s, Q_s) defined by the fixed point at s."""
-    m, q, d = potential.m, potential.q, potential.d
+    m, d = potential.m, potential.d
     sol = solve_psi(potential, s)
     # initial law pi([a_1..a_{d-1}]) = prod_j psi(a_1..a_j) / psi(a_1..a_{j-1})^q,
-    # with psi(empty)^q = sum_j psi(j) so the law is a probability vector.
+    # with psi(empty)^q = sum_j psi(j): the product of the block laws `levels`
     order = d - 1
     pi = np.ones(m**order)
-    prev = np.array([sol.levels[1].sum() ** (1.0 / q)])  # psi at the empty word
     for k in range(1, order + 1):
-        lev = sol.levels[k]
-        reps = m ** (order - k)
-        pi *= np.repeat(lev / (prev**q).repeat(m), reps)
-        prev = lev
+        pi *= np.repeat(sol.levels[k], m ** (order - k))
     # transition kernel from context (a_1..a_{d-1}) to appended symbol j;
     # both pi and the kernel are invariant under the internal centering shift
     return BaseMeasure(m=m, order=order, initial=pi, kernel=sol.kernel)
