@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
@@ -19,16 +18,17 @@ from .errors import ConvergenceError, ValidationError
 from .symbolic import (
     PrefixAutomaton,
     SemigroupSpec,
-    _ascending_products,
     gamma_of_semigroup,
     lambda_partition,
     prefix_counts_up_to,
-    semigroup_elements,
+    semigroup_series,
     series_weights,
+    transition_matrix,
 )
-from .thermo import fixed_point, operator_step
+from .thermo import fixed_point
 
 _BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 states enumerated
+_SCALE_BLOCK = 32  # levels of the PSSS sweep between moves of t(root) into its log scale
 
 
 @dataclass(frozen=True)
@@ -191,32 +191,42 @@ def psss_solution(
     """Solve the leveled system t(u)^{l_{k+1}/l_k} = sum of children on (state, level).
 
     The system is triangular in the level, so it is closed by one backward
-    recursion from the truncation depth D of the box series at `target`
-    (:func:`symbolic.series_weights`), started from the lower closure t = 1.
+    recursion t <- (M t)^{l_k/l_{k+1}} on the dense transition matrix M,
+    from the truncation depth D of the box series at `target`
+    (:func:`symbolic.semigroup_series`), started from the lower closure t = 1.
+    Step k is homogeneous of degree l_k/l_{k+1}, so t = exp(sigma l_k) t'
+    carries a log scale sigma that the steps leave unchanged: every
+    _SCALE_BLOCK levels t'(root) moves into sigma, and no level overflows.
     The upper closure t = m^{l_D T}, T = sum_{k>D} 1/l_k, needs no sweep:
-    step k is homogeneous of degree l_k/l_{k+1}, so its constant reaches the
-    root as m^{T/gamma}. The closures thus bracket log_m t(root) within
-    exactly T / gamma, computed in integers and bounded by the series' Abel
-    tail, below `target`; a wider bracket raises ConvergenceError. The
-    solution is the bracket's midpoint.
+    its constant reaches the root as m^{T/gamma}. The closures thus bracket
+    log_m t(root) within exactly T / gamma, from the series' exact sum and
+    bounded by its Abel tail, below `target`; a wider bracket or a root value
+    that is not finite and positive raises ConvergenceError. The solution
+    is the bracket's midpoint.
     """
-    weights, child = _state_operator(automaton)
+    matrix = transition_matrix(*_state_operator(automaton))
     m = automaton.m
-    gamma = gamma_of_semigroup(spec)
     root = automaton.state_index()[automaton.initial]
-    depth = max(len(series_weights(spec.primes, target)), 1)
-    elems = semigroup_elements(spec, next(islice(_ascending_products(spec.primes), depth - 1, None)))
-    t = np.ones(len(weights))
-    for k in range(depth - 1, 0, -1):  # level k uses ratio l_{k+1}/l_k
-        t = operator_step(weights, child, t, elems[k] / elems[k - 1])  # elems[k-1] = l_k
-    lo = math.log(operator_step(weights, child, t, 1)[root] ** (1.0 / gamma)) / math.log(m)
-    # T / gamma with gamma = prod p / prod (p - 1) and den = lcm(l_1..l_D)
+    elems, num, den = semigroup_series(spec.primes, target)
+    if len(elems) > 1:  # depth D = K - 1 >= 1: drop 1/l_K from the sum
+        num -= den // elems.pop()
+    # T / gamma = 1 - (num / den) / gamma, with gamma = prod p / prod (p - 1)
     g_num, g_den = math.prod(spec.primes), math.prod(p - 1 for p in spec.primes)
-    den = math.lcm(*elems)
-    bracket = (g_num * den - g_den * sum(den // l for l in elems)) / (g_num * den)
+    bracket = (g_num * den - g_den * num) / (g_num * den)
     if bracket >= target:
-        raise ConvergenceError("semigroup truncation did not close the bracket", bracket)
-    return PsssSolution(t_root=float(m) ** (lo + bracket / 2), m=m, depth=depth, residual=bracket)
+        raise ConvergenceError(f"semigroup {spec.primes}: truncation did not close the bracket", bracket)
+    t, sigma = np.ones(len(matrix)), 0.0
+    for k in range(len(elems) - 1, 0, -1):  # level k: t <- (M t)^{l_k/l_{k+1}}, elems[k-1] = l_k
+        t = (matrix @ t) ** (elems[k - 1] / elems[k])
+        if k % _SCALE_BLOCK == 0:
+            scale = t[root]
+            t /= scale
+            sigma += math.log(scale) / elems[k - 1]
+    top = (matrix @ t)[root]
+    if not 0.0 < top < math.inf:
+        raise ConvergenceError(f"semigroup {spec.primes}: the sweep left the root value {top}", bracket)
+    lo = (sigma + math.log(top)) / (gamma_of_semigroup(spec) * math.log(m))
+    return PsssSolution(t_root=float(m) ** (lo + bracket / 2), m=m, depth=len(elems), residual=bracket)
 
 
 def psss_hausdorff(

@@ -9,12 +9,10 @@ Indices into sequences are 1-based throughout.
 
 from __future__ import annotations
 
-import heapq
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import takewhile
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -105,25 +103,24 @@ class SemigroupSpec:
             object.__setattr__(self, "primes", tuple(sorted(ps)))
 
 
-def _ascending_products(generators: Sequence[int]) -> Iterator[int]:
-    """1 and every product of the generators, ascending, each once (Hamming-number merge)."""
-    heap = [1]
-    seen = {1}
-    while True:
-        v = heapq.heappop(heap)
-        yield v
-        for p in generators:
-            w = v * p
-            if w not in seen:
-                seen.add(w)
-                heapq.heappush(heap, w)
+def semigroup_elements(spec: SemigroupSpec | Sequence[int], bound: int) -> list[int]:
+    """All products of the generators that are <= bound, ascending, starting at 1.
 
-
-def semigroup_elements(spec: SemigroupSpec, bound: int) -> list[int]:
-    """All products of the generators that are <= bound, ascending, starting at 1."""
+    `spec` is a SemigroupSpec, or generators already checked by
+    :func:`series_weights`. Each generator g in turn multiplies every product
+    listed so far by g, g^2, ... up to the bound, and one sort orders the
+    list. Products of distinct primes (or powers of one q) are distinct, so
+    each element appears once.
+    """
     if bound < 1:
         raise ValidationError(f"bound must be >= 1, got {bound}")
-    return list(takewhile(lambda v: v <= bound, _ascending_products(spec.primes)))
+    elements = [1]
+    for g in getattr(spec, "primes", spec):
+        layer = elements
+        while layer := [w for v in layer if (w := v * g) <= bound]:
+            elements += layer
+    elements.sort()
+    return elements
 
 
 def gamma_of_semigroup(spec: SemigroupSpec) -> float:
@@ -141,30 +138,56 @@ def series_weights(generators: Sequence[int], tol: float) -> list[float]:
     or distinct primes) and gamma = sum_k 1/l_k = prod g/(g-1). With
     0 <= a_k <= k, truncation before K drops at most the Abel tail
     (K/l_K + sum_{k>K} 1/l_k) / gamma, and K is the first depth where it is
-    below tol. One generator q gives w_k = (q-1)^2/q^{k+1} and the tail
-    q^{-K} ((q-1) K + 1). The tail is compared in exact integer arithmetic,
-    so K is exact for every tol > 0, even below the rounding of gamma.
+    below tol (:func:`semigroup_series`). One generator q gives
+    w_k = (q-1)^2/q^{k+1} and the tail q^{-K} ((q-1) K + 1).
     """
-    if tol <= 0:
-        raise ValidationError(f"tol must be > 0, got {tol}")
+    elements, _, _ = semigroup_series(generators, tol)
+    g_num = math.prod(generators)  # gamma = g_num / g_den
+    g_den = math.prod(g - 1 for g in generators)
+    return [(b - a) * g_den / (a * b * g_num) for a, b in zip(elements, elements[1:])]
+
+
+def semigroup_series(generators: Sequence[int], tol: float) -> tuple[list[int], int, int]:
+    """(l_1..l_K, num, den) with num/den = sum_{k<=K} 1/l_k exactly, K as in :func:`series_weights`.
+
+    The Abel tail is compared with tol in exact integer arithmetic, so K is
+    exact for every tol > 0, even below the rounding of gamma. A float
+    cumulative sum of 1/l_k first skips the depths whose tail stays >= tol
+    after a bound on its rounding; the integer test decides from the first
+    depth it cannot skip. The products are listed up to a bound guessed from
+    tol, raised sixteenfold while no depth below it passes.
+    """
+    if not 0 < tol < math.inf:  # NaN too: the bound guessed from tol needs a finite log
+        raise ValidationError(f"tol must be > 0 and finite, got {tol}")
     if len(generators) != 1 or generators[0] < 2:
         SemigroupSpec(tuple(generators))  # raises unless distinct primes
     g_num = math.prod(generators)  # gamma = g_num / g_den
     g_den = math.prod(g - 1 for g in generators)
-    elements = _ascending_products(generators)
-    depth, l = 1, next(elements)
-    num = den = 1  # num / den = sum_{k <= depth} 1/l_k, with l_k | den
-    weights = []
-    # the tail test times gamma * den * g_den, all in integers but tol
-    while depth * (den // l) * g_den + g_num * den - num * g_den >= tol * (g_num * den):
-        nxt = next(elements)
-        weights.append((nxt - l) * g_den / (l * nxt * g_num))
-        if den % nxt:
-            lcm = math.lcm(den, nxt)
-            num, den = num * (lcm // den), lcm
-        num += den // nxt
-        depth, l = depth + 1, nxt
-    return weights
+    gamma = g_num / g_den
+    # a guess at l_K: it held for every set of up to four primes and every tol tried
+    bound = 2 + int(4 * (1 + abs(math.log(tol))) ** len(generators) / tol)
+    while True:
+        elements = semigroup_elements(generators, bound)
+        ls = np.array(elements, dtype=float)
+        depths = np.arange(1, len(ls) + 1)
+        # gamma times the tail at each depth k errs by at most (k + 6) eps gamma in
+        # floats (k/l_k <= 1 <= gamma; the running sum of k terms errs by
+        # (k + 1) eps gamma); the margin, twice (k + 8) eps gamma, also covers
+        # the rounding of tol * gamma on both sides of the test
+        tails = depths / ls + (gamma - np.cumsum(1 / ls))
+        unsure = np.flatnonzero(tails - (depths + 8) * 2.0**-51 * gamma < tol * gamma)
+        first = int(unsure[0]) + 1 if unsure.size else len(elements) + 1
+        num, den = 0, 1  # num / den = sum_{k <= depth} 1/l_k, with l_k | den
+        for depth, l in enumerate(elements, 1):
+            if den % l:
+                lcm = math.lcm(den, l)
+                num, den = num * (lcm // den), lcm
+            num += den // l
+            # the tail test times gamma * den * g_den, all in integers but tol
+            if depth >= first and (depth * (den // l) * g_den + g_num * den - num * g_den
+                                   < tol * (g_num * den)):
+                return elements[:depth], num, den
+        bound *= 16
 
 
 @dataclass(frozen=True)

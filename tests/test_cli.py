@@ -131,6 +131,16 @@ class TestDimsCommand:
     def test_missing_file(self):
         assert run(["dims", "--config", "/nonexistent.json", "--q", "2"]) == cli.EXIT_CONFIG
 
+    @pytest.mark.filterwarnings("error")
+    def test_four_primes_write_strict_json(self, fib_file, capsys):
+        # NaN and Infinity are not JSON: parse_constant is called only for them
+        def reject(token):
+            raise ValueError(f"non-finite {token} in the dims report")
+
+        assert run(["dims", "--config", fib_file, "--semigroup", "2,3,5,7"]) == 0
+        report = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert 0.0 < report["dim_H"] < report["dim_B"] < 1.0
+
 
 class TestWalkCommand:
     def test_case1_alpha(self, capsys):

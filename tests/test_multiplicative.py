@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multifract import multiplicative, symbolic
-from multifract.errors import ValidationError
+from multifract import cli, multiplicative, symbolic
+from multifract.errors import ConvergenceError, ValidationError
 
 LOG2 = math.log(2)
 
@@ -15,6 +15,46 @@ LOG2 = math.log(2)
 FIB_ROOT = 1.7548776662466927
 FIB_DIM_H = 0.8113704627516504
 FIB_DIM_B = 0.8242936057115928
+
+
+# the benchmark's automata and dims modes
+DIMS_AUTOMATA = {
+    "fibonacci": symbolic.fibonacci_automaton,
+    "forbid111": lambda: symbolic.forbid_ones_run(3),
+    "even_ones": symbolic.even_ones_shift,
+    "two_regular_ternary": symbolic.two_regular_ternary,
+    "full_shift3": lambda: symbolic.full_shift(3),
+}
+DIMS_MODES = {
+    "q=2": {"q": 2},
+    "q=3": {"q": 3},
+    "2,3": {"spec": symbolic.SemigroupSpec((2, 3))},
+    "2,3,5": {"spec": symbolic.SemigroupSpec((2, 3, 5))},
+}
+# (dim_H, dim_B, residual) of dims_report at its default tol, recorded at
+# 41ed9d0, before the PSSS sweep moved to the dense matrix with a log scale
+DIMS_PINS = {
+    ("fibonacci", "q=2"): (0.8113704627516395, 0.8242936053344875, 6.57955803882148e-15),
+    ("fibonacci", "q=3"): (0.8632823612520767, 0.8766070386703617, 6.74974148163066e-15),
+    ("fibonacci", "2,3"): (0.7725311888478188, 0.7816193183663609, 6.7014904725601785e-12),
+    ("fibonacci", "2,3,5"): (0.7568078275538389, 0.7641744872432212, 9.090537967976882e-12),
+    ("forbid111", "q=2"): (0.9566513117545983, 0.9617888968860957, 8.46625226835462e-15),
+    ("forbid111", "q=3"): (0.9781671887851587, 0.9816307007915193, 8.859300241801813e-15),
+    ("forbid111", "2,3"): (0.9286729575885525, 0.9329094407488481, 6.7014904725601785e-12),
+    ("forbid111", "2,3,5"): (0.9186537645727363, 0.9221564922325137, 9.090537967976882e-12),
+    ("even_ones", "q=2"): (0.8113704627516395, 0.8242936053344875, 6.57955803882148e-15),
+    ("even_ones", "q=3"): (0.8632823612520767, 0.8766070386703617, 6.74974148163066e-15),
+    ("even_ones", "2,3"): (0.7725311888478188, 0.7816193183663609, 6.7014904725601785e-12),
+    ("even_ones", "2,3,5"): (0.7568078275538389, 0.7641744872432212, 9.090537967976882e-12),
+    ("two_regular_ternary", "q=2"): (0.6309297535714483, 0.6309297532317516, 9.880984919163991e-15),
+    ("two_regular_ternary", "q=3"): (0.6309297535714543, 0.6309297532564723, 3.454203409104311e-15),
+    ("two_regular_ternary", "2,3"): (0.6309297535705797, 0.6309297529582508, 6.7014904725601785e-12),
+    ("two_regular_ternary", "2,3,5"): (0.6309297535702669, 0.6309297529424827, 9.090537967976882e-12),
+    ("full_shift3", "q=2"): (0.9999999999999927, 0.9999999994615791, 7.697546304067813e-15),
+    ("full_shift3", "q=3"): (0.9999999999999949, 0.9999999995007604, 5.256098009448423e-15),
+    ("full_shift3", "2,3"): (0.9999999999966489, 0.9999999990280907, 6.7014904725601785e-12),
+    ("full_shift3", "2,3,5"): (0.9999999999954544, 0.9999999990030985, 9.090537967976882e-12),
+}
 
 
 def cubic_root():
@@ -161,6 +201,47 @@ class TestPsss:
                 sol = multiplicative.psss_solution(aut, spec, target)
                 assert sol.depth == depth
                 assert 0.0 <= sol.residual < target
+
+    @pytest.mark.parametrize("name, mode", sorted(DIMS_PINS))
+    def test_dims_pins(self, name, mode):
+        # the box series and the bracket are exact, so their outputs stay bit for
+        # bit; the sweep's rounding may move dim_H in its last bits
+        report = multiplicative.dims_report(DIMS_AUTOMATA[name](), **DIMS_MODES[mode])
+        dim_h, dim_b, residual = DIMS_PINS[name, mode]
+        assert report["dim_B"] == dim_b
+        assert report["residual"] == residual
+        assert report["dim_H"] == pytest.approx(dim_h, abs=1e-14)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("make, full", [(lambda: symbolic.full_shift(2), True),
+                                            (symbolic.fibonacci_automaton, False)],
+                             ids=["full_shift2", "fibonacci"])
+    def test_four_primes_stay_finite(self, make, full):
+        # at depth 24,526 the unscaled sweep reaches t = m^{l_k T_k} past the
+        # float range; the carried log scale keeps every level finite
+        automaton, spec = make(), symbolic.SemigroupSpec((2, 3, 5, 7))
+        sol = multiplicative.psss_solution(automaton, spec)
+        dim_b = multiplicative.psss_box(automaton, spec, tol=1e-9)
+        assert 0.0 < sol.residual < 1e-10
+        assert math.isfinite(sol.dimension) and math.isfinite(dim_b)
+        upper = sol.dimension + sol.residual / 2
+        if full:  # dimension 1, reached by the upper closure
+            assert upper == pytest.approx(1.0, abs=1e-14)
+        else:
+            assert 0.0 < sol.dimension < upper <= dim_b
+
+    def test_non_finite_root_names_the_semigroup(self, monkeypatch, tmp_path, capsys):
+        def nan_matrix(kernel, child):
+            return np.full((len(child), len(child)), np.nan)
+
+        monkeypatch.setattr(multiplicative, "transition_matrix", nan_matrix)
+        spec = symbolic.SemigroupSpec((2, 3))
+        with pytest.raises(ConvergenceError, match=r"semigroup \(2, 3\)"):
+            multiplicative.psss_solution(symbolic.full_shift(2), spec)
+        cfg = tmp_path / "full.json"
+        cfg.write_text(symbolic.full_shift(2).to_json())
+        assert cli.main(["dims", "--config", str(cfg), "--semigroup", "2,3"]) == cli.EXIT_NUMERIC
+        assert "semigroup (2, 3)" in capsys.readouterr().err
 
     @pytest.mark.parametrize("primes", [(2, 3), (2, 3, 5), (3, 5)])
     def test_bracket_holds_the_full_shift(self, primes):

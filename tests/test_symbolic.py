@@ -55,6 +55,26 @@ class TestSemigroup:
         with pytest.raises(ValidationError):
             symbolic.SemigroupSpec((2, 2))
 
+    @pytest.mark.parametrize("primes", [(2,), (2, 3), (2, 3, 5), (3, 5, 7)])
+    def test_elements_match_factoring_oracle(self, primes):
+        # every n <= bound whose prime factors all lie in the set, by trial
+        # division; bounds at an element and one either side of it
+        spec = symbolic.SemigroupSpec(primes)
+
+        def smooth(n):
+            for p in primes:
+                while n % p == 0:
+                    n //= p
+            return n == 1
+
+        top = 20000
+        want = [n for n in range(1, top + 2) if smooth(n)]
+        for element in (1, 2, want[len(want) // 2], want[-2]):
+            for bound in (element - 1, element, element + 1):
+                if bound >= 1:
+                    got = symbolic.semigroup_elements(spec, bound)
+                    assert got == [n for n in want if n <= bound], (primes, bound)
+
     @given(bound=st.integers(1, 500))
     @settings(max_examples=30)
     def test_elements_are_products(self, bound):

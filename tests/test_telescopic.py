@@ -17,16 +17,18 @@ def abel_tails(generators, depth):
 
     The tail is q^{-D-1} ((q-1)(D+1) + 1) in closed form for one generator q,
     else (K/l_K + gamma - sum_{k<=K} 1/l_k) / gamma at K = D + 1 over the
-    products 2^a 3^b listed directly.
+    products p^a q^b ... < 2^63 listed directly from their exponents.
     """
     gamma = math.prod(Fraction(g, g - 1) for g in generators)
     if len(generators) == 1:
         q = generators[0]
         elements = [q**j for j in range(depth + 1)]
         return elements, gamma, [Fraction((q - 1) * (d + 1) + 1, q ** (d + 1)) for d in range(depth + 1)]
-    assert generators == (2, 3)
-    elements = sorted(2**a * 3**b for a in range(64) for b in range(41) if 2**a * 3**b < 2**63)
-    elements = elements[: depth + 1]
+    elements = [1]
+    for p in generators:
+        elements = [v * p**a for v in elements for a in range(64) if v * p**a < 2**63]
+    elements = sorted(elements)[: depth + 1]
+    assert len(elements) == depth + 1
     tails, partial = [], Fraction(0)
     for k, l in enumerate(elements, 1):
         partial += Fraction(1, l)
@@ -144,6 +146,23 @@ class TestDimension:
     @pytest.mark.parametrize("q", [2, 3, 5, 4, pytest.param((2, 3), id="2,3")])
     @pytest.mark.parametrize("tol", [1e-5, 1e-9, 1e-12])
     def test_series_depth_is_first_depth_below_tol(self, q, tol):
+        self.check_series_depth(q, tol)
+
+    @pytest.mark.parametrize(
+        "q, tol",
+        [((2, 3, 5), 1e-9), ((2, 3, 5), 1e-10), ((3, 5, 7), 1e-9), ((3, 5, 7), 1e-10),
+         (2, 1e-30), (3, 1e-30), (2, 1e-300), (5, 1e-300),
+         # each tol lies between the exact tail at the last depth and its float
+         # estimate, so a float screen with no rounding margin stops a depth late
+         ((2, 3), 0.7222222222222223), ((2, 3), 3.2065274248042147e-13),
+         ((2, 3, 5), 0.16708024691358028), ((2, 3, 5), 5.0017684887948564e-11)],
+    )
+    def test_series_depth_below_float_resolution(self, q, tol):
+        # tails below the rounding of gamma and of the float cumulative sum
+        self.check_series_depth(q, tol)
+
+    @staticmethod
+    def check_series_depth(q, tol):
         generators = q if isinstance(q, tuple) else (q,)
         weights = symbolic.series_weights(generators, tol)
         depth = len(weights)  # K - 1 terms
@@ -158,6 +177,12 @@ class TestDimension:
 
     @pytest.mark.parametrize("tol", [0.0, -1e-9])
     def test_series_depth_rejects_nonpositive_tol(self, tol):
+        with pytest.raises(ValidationError):
+            symbolic.series_weights((2,), tol)
+
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_series_depth_rejects_non_finite_tol(self, tol):
+        # NaN once stopped the series at depth 1, a box dimension of 0
         with pytest.raises(ValidationError):
             symbolic.series_weights((2,), tol)
 
