@@ -168,13 +168,13 @@ def cmd_sample(args) -> int:
         base = telescopic.BaseMeasure.uniform(args.m)
     else:
         base = telescopic.BaseMeasure.from_json(_read_config(args.measure))
+    digits = np.frombuffer(b"0123456789abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
+    if base.m > len(digits):
+        raise ValidationError(f"sample writes one character 0-9a-z per symbol: m must be <= 36, "
+                              f"got {base.m}")
     measure = telescopic.TelescopicMeasure(base=base, q=args.q)
     path = telescopic.sample(measure, args.n, args.seed)
-    if base.m <= 10:  # one digit per symbol: the digits' bytes at once
-        text = (path.symbols + ord("0")).astype(np.uint8).tobytes().decode("ascii")
-    else:
-        text = "".join(str(int(a)) for a in path.symbols)
-    _write(text + "\n", args)
+    _write(digits[path.symbols].tobytes().decode("ascii") + "\n", args)
     return EXIT_OK
 
 

@@ -202,14 +202,6 @@ def sample(measure: WalshRieszMeasure, n: int, seed: int) -> np.ndarray:
 # -- doubling / tripling exploratory averages --
 
 
-def _exact_fraction(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    return Fraction(x)  # floats convert exactly
-
-
 def doubling_tripling_average(a: int, b: int, x, n: int) -> complex:
     """(1/n) sum_{k=1}^n exp(2 pi i (a 2^k + b 3^k) x), exactly in phase.
 
@@ -219,7 +211,7 @@ def doubling_tripling_average(a: int, b: int, x, n: int) -> complex:
     """
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    frac = _exact_fraction(x)
+    frac = Fraction(x)
     if not 0 <= frac < 1:
         raise ValidationError(f"x must lie in [0, 1), got {x}")
     q, p = frac.denominator, frac.numerator
@@ -232,7 +224,7 @@ def doubling_tripling_average(a: int, b: int, x, n: int) -> complex:
 
 def multiplication_orbit(x, factor: int) -> list[Fraction]:
     """Orbit of x under t -> factor * t mod 1, up to the first return."""
-    start = _exact_fraction(x) % 1
+    start = Fraction(x) % 1
     orbit = [start]
     t = start * factor % 1
     while t != start:

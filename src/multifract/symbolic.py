@@ -155,7 +155,8 @@ def semigroup_series(generators: Sequence[int], tol: float) -> tuple[list[int], 
     cumulative sum of 1/l_k first skips the depths whose tail stays >= tol
     after a bound on its rounding; the integer test decides from the first
     depth it cannot skip. The products are listed up to a bound guessed from
-    tol, raised sixteenfold while no depth below it passes.
+    tol, raised sixteenfold while no depth below it passes. A tol so small
+    that the guess or the tail test overflows a float raises ValidationError.
     """
     if not 0 < tol < math.inf:  # NaN too: the bound guessed from tol needs a finite log
         raise ValidationError(f"tol must be > 0 and finite, got {tol}")
@@ -164,30 +165,33 @@ def semigroup_series(generators: Sequence[int], tol: float) -> tuple[list[int], 
     g_num = math.prod(generators)  # gamma = g_num / g_den
     g_den = math.prod(g - 1 for g in generators)
     gamma = g_num / g_den
-    # a guess at l_K: it held for every set of up to four primes and every tol tried
-    bound = 2 + int(4 * (1 + abs(math.log(tol))) ** len(generators) / tol)
-    while True:
-        elements = semigroup_elements(generators, bound)
-        ls = np.array(elements, dtype=float)
-        depths = np.arange(1, len(ls) + 1)
-        # gamma times the tail at each depth k errs by at most (k + 6) eps gamma in
-        # floats (k/l_k <= 1 <= gamma; the running sum of k terms errs by
-        # (k + 1) eps gamma); the margin, twice (k + 8) eps gamma, also covers
-        # the rounding of tol * gamma on both sides of the test
-        tails = depths / ls + (gamma - np.cumsum(1 / ls))
-        unsure = np.flatnonzero(tails - (depths + 8) * 2.0**-51 * gamma < tol * gamma)
-        first = int(unsure[0]) + 1 if unsure.size else len(elements) + 1
-        num, den = 0, 1  # num / den = sum_{k <= depth} 1/l_k, with l_k | den
-        for depth, l in enumerate(elements, 1):
-            if den % l:
-                lcm = math.lcm(den, l)
-                num, den = num * (lcm // den), lcm
-            num += den // l
-            # the tail test times gamma * den * g_den, all in integers but tol
-            if depth >= first and (depth * (den // l) * g_den + g_num * den - num * g_den
-                                   < tol * (g_num * den)):
-                return elements[:depth], num, den
-        bound *= 16
+    try:
+        # a guess at l_K: it held for every set of up to four primes and every tol tried
+        bound = 2 + int(4 * (1 + abs(math.log(tol))) ** len(generators) / tol)
+        while True:
+            elements = semigroup_elements(generators, bound)
+            ls = np.array(elements, dtype=float)
+            depths = np.arange(1, len(ls) + 1)
+            # gamma times the tail at each depth k errs by at most (k + 6) eps gamma in
+            # floats (k/l_k <= 1 <= gamma; the running sum of k terms errs by
+            # (k + 1) eps gamma); the margin, twice (k + 8) eps gamma, also covers
+            # the rounding of tol * gamma on both sides of the test
+            tails = depths / ls + (gamma - np.cumsum(1 / ls))
+            unsure = np.flatnonzero(tails - (depths + 8) * 2.0**-51 * gamma < tol * gamma)
+            first = int(unsure[0]) + 1 if unsure.size else len(elements) + 1
+            num, den = 0, 1  # num / den = sum_{k <= depth} 1/l_k, with l_k | den
+            for depth, l in enumerate(elements, 1):
+                if den % l:
+                    lcm = math.lcm(den, l)
+                    num, den = num * (lcm // den), lcm
+                num += den // l
+                # the tail test times gamma * den * g_den, all in integers but tol
+                if depth >= first and (depth * (den // l) * g_den + g_num * den - num * g_den
+                                       < tol * (g_num * den)):
+                    return elements[:depth], num, den
+            bound *= 16
+    except OverflowError as e:  # the bound guess or an integer of the tail test left the floats
+        raise ValidationError(f"tol {tol} is too small for the semigroup series: {e}") from e
 
 
 @dataclass(frozen=True)

@@ -51,6 +51,8 @@ class BaseMeasure:
             raise ValidationError(f"initial law must have length {n}, got {pi.shape}")
         if ker.shape != (n, self.m):
             raise ValidationError(f"kernel must have shape {(n, self.m)}, got {ker.shape}")
+        if not (np.isfinite(pi).all() and np.isfinite(ker).all()):
+            raise ValidationError("probabilities must be finite")
         if np.any(pi < 0) or np.any(ker < 0):
             raise ValidationError("probabilities must be nonnegative")
         if abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:

@@ -1,11 +1,12 @@
 """Oriented walks driven by an idempotent linear action.
 
-Transfer matrices, Perron-Frobenius pressure from one dense eigensolve, its
-exact gradient and Hessian (the mean and asymptotic covariance of the drift
-under the Perron chain), the multifractal spectrum of the walk's linear
-drift by Newton's method on them, the evolution measure whose cylinder
-masses track the walk, trajectory simulation, and the closed second-moment
-formula for the polymer-chain model.
+Perron-Frobenius pressure from one dense eigensolve of the log-scaled
+transfer matrix, its exact gradient and Hessian (the mean and asymptotic
+covariance of the drift under the Perron chain), the multifractal spectrum
+of the walk's linear drift by Newton's method on them, the evolution
+measure whose cylinder masses track the walk up to a telescoping defect,
+trajectories, and the closed second-moment formula for the polymer-chain
+model.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .thermo import _GRAD_TOL, newton_slope
 
 OUT_OF_DOMAIN = float("nan")
 
-_EXP_GUARD = 600.0  # |<s, tau^j v>| beyond this is solved in the log domain
 _ROW_TOL = 1e-8  # most a row of the Perron chain Q may miss 1 by
 
 
@@ -34,7 +34,8 @@ class WalkSystem:
     """An oriented walk S_n(x) = sum_k tau^(x_1+...+x_k) v with tau^p = Id.
 
     tau is a D x D matrix, v a D-vector, and the steps A are integers whose
-    residues generate Z/pZ (which makes the transfer matrix irreducible).
+    residues generate Z/pZ, that is gcd(p, A) = 1 (which makes the transfer
+    matrix irreducible).
     """
 
     p: int
@@ -51,30 +52,23 @@ class WalkSystem:
             raise ValidationError(f"tau must be square, got shape {tau.shape}")
         if v.shape != (tau.shape[0],):
             raise ValidationError("v must match tau's dimension")
+        if not (np.isfinite(tau).all() and np.isfinite(v).all()):
+            raise ValidationError("tau and v must be finite")
         if np.linalg.norm(v) == 0:
             raise ValidationError("v must be nonzero")
         power = np.linalg.matrix_power(tau, self.p)
         if np.max(np.abs(power - np.eye(tau.shape[0]))) >= 1e-10:
             raise ValidationError(f"tau^{self.p} is not the identity")
-        if not self.steps:
+        steps = tuple(int(a) for a in self.steps)
+        if not steps:
             raise ValidationError("step set must be nonempty")
-        # subgroup closure of the residues of A must be all of Z/pZ
-        reached = {0}
-        frontier = [0]
-        while frontier:
-            r = frontier.pop()
-            for a in self.steps:
-                for nxt in ((r + a) % self.p, (r - a) % self.p):
-                    if nxt not in reached:
-                        reached.add(nxt)
-                        frontier.append(nxt)
-        if len(reached) != self.p:
+        if math.gcd(self.p, *steps) != 1:  # the residues of A generate gcd(p, A) Z/pZ
             raise ValidationError(f"steps {self.steps} do not generate Z/{self.p}Z")
-        if len({a % self.p for a in self.steps}) != len(self.steps):
+        if len({a % self.p for a in steps}) != len(steps):
             raise ValidationError("steps must be distinct modulo p")
         object.__setattr__(self, "tau", tau)
         object.__setattr__(self, "v", v)
-        object.__setattr__(self, "steps", tuple(int(a) for a in self.steps))
+        object.__setattr__(self, "steps", steps)
 
     @property
     def dim(self) -> int:
@@ -143,7 +137,7 @@ def case2() -> WalkSystem:
 
 @dataclass(frozen=True)
 class WalkPressure:
-    """Spectral data of the transfer matrix at parameter s."""
+    """Spectral data of the transfer matrix M_s(i, j) = [j - i is a step] exp(<s, tau^j v>)."""
 
     s: np.ndarray
     log_scale: float  # common log factor taken out of the matrix
@@ -153,22 +147,6 @@ class WalkPressure:
     @property
     def pressure(self) -> float:
         return self.log_scale + math.log(self.lam)
-
-    @property
-    def lam_true(self) -> float:
-        return math.exp(self.pressure)
-
-
-def transfer_matrix(system: WalkSystem, s) -> np.ndarray:
-    """M_s(i, j) = [j - i is a step] * exp(<s, tau^j v>)."""
-    s = _as_param(system, s)
-    exponents = system.orbit @ s
-    if np.max(np.abs(exponents)) > _EXP_GUARD:
-        raise ValidationError(
-            "transfer-matrix exponents exceed the floating-point guard; "
-            "use walk_pressure (log-domain) instead"
-        )
-    return system.step_mask * np.exp(exponents)[None, :]
 
 
 def spectral_radius(matrix: np.ndarray) -> tuple[float, np.ndarray]:
@@ -320,54 +298,43 @@ def closed_form_case2(a: float, b: float) -> float:
 # -- evolution measure --
 
 
-def evolution_log_mass(system: WalkSystem, s, u: Sequence[int]) -> float:
-    """log mu_s([u_1..u_n]) for a word over the step set."""
-    s = _as_param(system, s)
+def _defect_ends(system: WalkSystem, s) -> tuple[np.ndarray, np.ndarray, float]:
+    """(first, last, P(s)): the defect of log mu_s at a word is first[w_1] + last[w_n].
+
+    With w_k = x_1 + ... + x_k mod p, the cylinder mass is t_{w_1} / sum_a t_{a mod p}
+    times exp(<s, tau^{w_k} v> - P(s)) t_{w_k} / t_{w_{k-1}} for each k > 1. Its t's
+    telescope, so log mu_s([x_1..x_n]) = <s, S_n(x)> - n P(s) + first[w_1] + last[w_n]
+    with first[w] = P(s) - <s, tau^w v> - log sum_a t_{a mod p} and last = log t.
+    """
     data = walk_pressure(system, s)
-    t, logp = data.t, data.pressure
-    steps = set(system.steps)
-    w = 0
-    total = 0.0
-    for k, a in enumerate(u):
-        if a not in steps:
-            raise ValidationError(f"symbol {a} is not a step of the system")
-        w_next = (w + a) % system.p
-        if k == 0:
-            denom = sum(t[b % system.p] for b in system.steps)
-            total += math.log(t[w_next] / denom)
-        else:
-            drive = float(s @ system.orbit[w_next])
-            total += math.log(t[w_next]) + drive - logp - math.log(t[w])
-        w = w_next
-    return total
+    denom = math.log(sum(data.t[a % system.p] for a in system.steps))
+    return data.pressure - system.orbit @ data.s - denom, np.log(data.t), data.pressure
+
+
+def evolution_log_mass(system: WalkSystem, s, u: Sequence[int]) -> float:
+    """log mu_s([u_1..u_n]) for a word over the step set, from :func:`_defect_ends`."""
+    first, last, logp = _defect_ends(system, s)
+    w = _residues(system, u)
+    if not w.size:
+        return 0.0
+    increments = system.orbit @ _as_param(system, s) - logp  # <s, tau^w v> - P(s) at residue w
+    return float(first[w[0]] + last[w[-1]] + increments[w].sum())
 
 
 def evolution_measure_mass(system: WalkSystem, s, u: Sequence[int]) -> float:
     """Cylinder mass mu_s([u]) = pi(u_1) * prod Q_k."""
-    if len(u) == 0:
-        return 1.0
     return math.exp(evolution_log_mass(system, s, u))
 
 
 def evolution_bound(system: WalkSystem, s) -> float:
     """Uniform bound on |log mu_s([x_1..x_n]) - <s, S_n(x)> + n P(s)|.
 
-    From the exact identity, the defect equals
-    P(s) - <s, tau^{w_1} v> - log sum_a t_a + log t_{w_n}; the bound is the
-    maximum of its absolute value over admissible first/last residues.
+    The defect is exactly first[w_1] + last[w_n] (:func:`_defect_ends`); the
+    bound is its largest absolute value over first residues w_1 in A mod p
+    and last residues w_n in Z/pZ.
     """
-    s = _as_param(system, s)
-    data = walk_pressure(system, s)
-    t, logp = data.t, data.pressure
-    denom = math.log(sum(t[b % system.p] for b in system.steps))
-    drives = system.orbit @ s
-    first = [(a % system.p) for a in system.steps]
-    worst = 0.0
-    for w1 in first:
-        for wn in range(system.p):
-            value = logp - float(drives[w1]) - denom + math.log(t[wn])
-            worst = max(worst, abs(value))
-    return worst
+    first, last, _ = _defect_ends(system, s)
+    return float(np.abs(first[np.array(system.steps) % system.p][:, None] + last).max())
 
 
 def sample_paths(system: WalkSystem, s, n: int, paths: int, seed: int) -> np.ndarray:
@@ -400,31 +367,27 @@ def sample_paths(system: WalkSystem, s, n: int, paths: int, seed: int) -> np.nda
     return out
 
 
-def trajectory(system: WalkSystem, x: Sequence[int], n: int | None = None) -> np.ndarray:
-    """Partial sums S_1..S_n of tau^(x_1+...+x_k) v, shape (n, D)."""
+def trajectory(system: WalkSystem, x, n: int | None = None) -> np.ndarray:
+    """Partial sums S_1..S_n of tau^(x_1+...+x_k) v over the first n symbols.
+
+    x is one word, shape (len,), giving shape (n, D), or a stack of words,
+    shape (paths, len), giving shape (paths, n, D).
+    """
+    x = np.asarray(x, dtype=np.int64)
     if n is None:
-        n = len(x)
-    if n > len(x):
-        raise ValidationError(f"need {n} symbols, got {len(x)}")
-    steps = set(system.steps)
-    w = 0
-    out = np.empty((n, system.dim))
-    acc = np.zeros(system.dim)
-    for k in range(n):
-        a = int(x[k])
-        if a not in steps:
-            raise ValidationError(f"symbol {a} is not a step of the system")
-        w = (w + a) % system.p
-        acc = acc + system.orbit[w]
-        out[k] = acc
-    return out
+        n = x.shape[-1]
+    if n > x.shape[-1]:
+        raise ValidationError(f"need {n} symbols, got {x.shape[-1]}")
+    return np.cumsum(system.orbit[_residues(system, x[..., :n])], axis=-2)
 
 
-def trajectories_batch(system: WalkSystem, words: np.ndarray) -> np.ndarray:
-    """Final points S_n for a batch of words, shape (paths, D)."""
-    words = np.asarray(words)
-    w = np.cumsum(words, axis=1) % system.p
-    return system.orbit[w].sum(axis=1)
+def _residues(system: WalkSystem, x) -> np.ndarray:
+    """w_k = x_1 + ... + x_k mod p along the last axis of x, whose symbols must be steps."""
+    x = np.asarray(x, dtype=np.int64)
+    bad = x[~np.isin(x, system.steps)]
+    if bad.size:
+        raise ValidationError(f"symbol {bad[0]} is not a step of the system")
+    return np.cumsum(x, axis=-1) % system.p
 
 
 # -- polymer-chain second moment --

@@ -1,10 +1,12 @@
 """Seeded output bytes, pinned by SHA-256 digest.
 
 A seed fixes every byte a sampler writes: the `riesz` and `sample` CLI
-files and stdout, and the `riesz.sample` and `telescopic.sample` arrays.
-The digests below were taken from the per-symbol loop samplers that the
-array versions replaced, so these tests check the array versions against
-that code, not against themselves.
+files and stdout, and the `riesz.sample`, `telescopic.sample` and
+`walks.sample_paths` arrays. The digests below were taken from the
+per-symbol loop samplers that the array versions replaced, so these tests
+check the array versions against that code, not against themselves. The
+`walks.sample_paths` digests were taken before its evolution-measure
+helpers were rewritten around the telescoping identity.
 """
 
 import hashlib
@@ -12,7 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from multifract import cli, riesz, telescopic
+from multifract import cli, riesz, telescopic, walks
 
 
 def sha256(data: bytes) -> str:
@@ -87,7 +89,8 @@ SAMPLE_CLI = {
     # (measure, m, q, n, seed): --out file digest
     ("uniform", 2, 2, 1_000_000, 7): "af437e99c16ac49de417e4ebf90d3f6e7a1d3a00926b03684fdca071fd83d399",
     ("uniform", 3, 3, 100_003, 2): "29b10f63795e190b89192b02d1a23654c8806319c6b3c450e75f3768b930589a",
-    ("uniform", 12, 2, 20_000, 4): "a7c0fb7718bff48ff2f094290b6b1325852ae3a64789e95b5345ab7ba845f078",
+    # one character 0-9a-z per symbol: "b" is 11, so every file decodes
+    ("uniform", 12, 2, 20_000, 4): "f0eba7d98023b77b502942ada458b343a3a9b8f68fd7e788df4e269437b6df5d",
     ("order1.json", 2, 2, 100_003, 9): "75ef1f6bfcfc3af83acdcb06297a35a425d43f99108d7399022f3d41c04624b7",
 }
 
@@ -156,3 +159,23 @@ def test_riesz_sample_arrays(d):
         for seed in (0, 11)
     )
     assert arrays_digest(paths) == RIESZ[d]
+
+
+WALK_DRAWS = ((1, 1, 0), (7, 3, 11), (300, 20, 7), (1000, 100, 11))
+WALKS = {
+    # (system, s): digest of every row drawn for each (n, paths, seed) in WALK_DRAWS
+    ("case1", (0.8,)): "01857dfc220618e182c43b3bc8c88610c43f5b2f4635515ad6117042493e2e7a",
+    ("case2", (0.5, -0.2)): "099ec8e02e6c6e97c3d2f642e7b777729562bf902039725dca5f33d696993cda",
+    ("case2", (0.1, 0.2)): "bd376bdbdf9a4b826b0344dcf893c8394226b22d4a0e2d8176f3ed54774d79ae",
+}
+
+
+@pytest.mark.parametrize("system, s", sorted(WALKS))
+def test_walk_sample_paths_arrays(system, s):
+    walk = getattr(walks, system)()
+    rows = (
+        row
+        for n, paths, seed in WALK_DRAWS
+        for row in walks.sample_paths(walk, s, n, paths, seed)
+    )
+    assert arrays_digest(rows) == WALKS[(system, s)]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multifract import cli, symbolic, thermo
+from multifract import cli, symbolic, telescopic, thermo
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -131,6 +131,12 @@ class TestDimsCommand:
     def test_missing_file(self):
         assert run(["dims", "--config", "/nonexistent.json", "--q", "2"]) == cli.EXIT_CONFIG
 
+    def test_tol_below_floats_is_config_error(self, fib_file, capfd):
+        argv = ["dims", "--config", fib_file, "--q", "2", "--tol", "1e-320"]
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capfd.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: tol"), err
+
     @pytest.mark.filterwarnings("error")
     def test_four_primes_write_strict_json(self, fib_file, capsys):
         # NaN and Infinity are not JSON: parse_constant is called only for them
@@ -194,6 +200,14 @@ class TestWalkCommand:
         assert header == ["alpha_1", "alpha_2", "dim"]
         assert len(row) == 3
 
+    @pytest.mark.parametrize("mode", [["--alpha", "0.3"], ["--grid=-1:1:3"]])
+    def test_non_finite_system_is_config_error(self, tmp_path, capfd, mode):
+        # a NaN v once ended in a LinAlgError traceback from the eigensolve
+        system = tmp_path / "nan.json"
+        system.write_text('{"p": 2, "tau": [[-1]], "v": [NaN], "A": [0, 1]}')
+        assert run(["walk", "--system", str(system), *mode]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err == "error: tau and v must be finite\n"
+
     def test_lost_perron_vector_is_numeric_error(self, tmp_path, capfd):
         # parity18 of tests/test_walks.py: at s = 50 the Perron vector is lost
         # to rounding, where the grid printed 50,nan,nan and exited 0
@@ -211,6 +225,29 @@ class TestSampleAndRiesz:
         assert run(["sample", "--measure", "uniform", "--n", "10", "--seed", "1"]) == 0
         assert capsys.readouterr().out == first
         assert len(first.strip()) == 10
+
+    def test_sample_one_character_per_symbol(self, tmp_path, capsys):
+        # symbols 10 and up are letters, so "b" is 11 and every path decodes
+        assert run(["sample", "--m", "12", "--n", "400", "--seed", "4"]) == 0
+        text = capsys.readouterr().out.strip()
+        base = telescopic.BaseMeasure.uniform(12)
+        path = telescopic.sample(telescopic.TelescopicMeasure(base=base, q=2), 400, 4)
+        assert [int(c, 36) for c in text] == path.symbols.tolist()
+        assert {"a", "b"} <= set(text)
+
+    def test_sample_rejects_more_symbols_than_characters(self, capfd):
+        assert run(["sample", "--measure", "uniform", "--m", "37"]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out == "" and "m must be <= 36" in captured.err
+
+    def test_sample_rejects_non_finite_measure(self, tmp_path, capfd):
+        # the NaN kernel passed every check and printed twenty 0s
+        law = tmp_path / "nan.json"
+        law.write_text('{"m": 2, "order": 0, "initial": [1.0], "kernel": [[NaN, 1.0]]}')
+        argv = ["sample", "--measure", str(law), "--n", "20", "--seed", "1"]
+        assert run(argv) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out == "" and captured.err == "error: probabilities must be finite\n"
 
     def test_riesz_path(self, tmp_path, capsys):
         out = tmp_path / "path.txt"

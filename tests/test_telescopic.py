@@ -79,6 +79,15 @@ class TestBaseMeasure:
         with pytest.raises(ValidationError):
             telescopic.BaseMeasure.bernoulli([0.5, 0.6])
 
+    @pytest.mark.parametrize(
+        "initial, kernel",
+        [([1.0], [[math.nan, 1.0]]), ([math.nan], [[0.5, 0.5]]), ([1.0], [[math.inf, 0.0]])],
+    )
+    def test_rejects_non_finite(self, initial, kernel):
+        # every comparison with NaN is false, so NaN passed the sign and sum checks
+        with pytest.raises(ValidationError):
+            telescopic.BaseMeasure(m=2, order=0, initial=np.array(initial), kernel=np.array(kernel))
+
 
 class TestCylinderMass:
     def test_uniform_masses(self):
@@ -185,6 +194,13 @@ class TestDimension:
         # NaN once stopped the series at depth 1, a box dimension of 0
         with pytest.raises(ValidationError):
             symbolic.series_weights((2,), tol)
+
+    @pytest.mark.parametrize("q, tol", [((2,), 1e-305), ((2,), 1e-320), ((2, 3), 1e-300)])
+    def test_series_rejects_tol_below_floats(self, q, tol):
+        # the bound guess, 4 (1 + |log tol|) / tol, overflows at (2,) and 1e-305;
+        # at (2, 3) and 1e-300 the tail test's integers exceed the largest float
+        with pytest.raises(ValidationError, match="tol"):
+            symbolic.semigroup_series(q, tol)
 
     def test_markov_measure_is_a_base_measure(self):
         phi = thermo.indicator_potential(2, 3)

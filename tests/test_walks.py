@@ -34,6 +34,21 @@ class TestWalkSystem:
                 steps=(0, 2),
             )
 
+    def test_steps_generate_together(self):
+        # neither 2 nor 3 generates Z/6 alone, but gcd(6, 2, 3) = 1; gcd(6, 2, 4) = 2
+        walks.WalkSystem(p=6, tau=np.array([[-1.0]]), v=np.array([1.0]), steps=(2, 3))
+        with pytest.raises(ValidationError, match="do not generate"):
+            walks.WalkSystem(p=6, tau=np.array([[-1.0]]), v=np.array([1.0]), steps=(2, 4))
+
+    @pytest.mark.parametrize(
+        "tau, v",
+        [([[math.nan]], [1.0]), ([[-1.0]], [math.nan]), ([[-1.0]], [math.inf])],
+    )
+    def test_rejects_non_finite(self, tau, v):
+        # NaN >= 1e-10 is false, so a NaN tau passed the tau^p = Id check
+        with pytest.raises(ValidationError, match="finite"):
+            walks.WalkSystem(p=2, tau=np.array(tau), v=np.array(v), steps=(0, 1))
+
     def test_order3_rotation(self):
         tau = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         system = walks.WalkSystem(p=3, tau=tau, v=np.array([1.0, 0.0, 0.0]), steps=(0, 1))
@@ -48,21 +63,6 @@ class TestWalkSystem:
 
 
 class TestTransferAndPressure:
-    def test_case1_matrix_at_zero(self):
-        assert np.array_equal(walks.transfer_matrix(walks.case1(), [0.0]), np.ones((2, 2)))
-
-    def test_case1_matrix_rows(self):
-        m = walks.transfer_matrix(walks.case1(), [0.7])
-        want = [math.exp(0.7), math.exp(-0.7)]
-        assert np.allclose(m, [want, want])
-
-    def test_case2_matrix_at_zero(self):
-        m = walks.transfer_matrix(walks.case2(), [0.0, 0.0])
-        cycle = np.array(
-            [[0, 1, 0, 1], [1, 0, 1, 0], [0, 1, 0, 1], [1, 0, 1, 0]], dtype=float
-        )
-        assert np.array_equal(m, cycle)
-
     def test_spectral_radius_all_ones(self):
         lam, t = walks.spectral_radius(np.ones((2, 2)))
         assert lam == pytest.approx(2.0, abs=1e-12)
@@ -84,8 +84,8 @@ class TestTransferAndPressure:
         system = walks.case2()
         s = [0.4, -0.9]
         data = walks.walk_pressure(system, s)
-        m = walks.transfer_matrix(system, s)
-        assert np.allclose(m @ data.t, data.lam_true * data.t, atol=1e-12)
+        m = system.step_mask * np.exp(system.orbit @ s)[None, :]
+        assert np.allclose(m @ data.t, math.exp(data.pressure) * data.t, atol=1e-12)
 
     def test_case1_gradient_is_tanh(self):
         system = walks.case1()
@@ -105,11 +105,8 @@ class TestTransferAndPressure:
             assert np.min(np.diff(values, 2)) >= -1e-9
 
     def test_log_domain_stability(self):
-        # raw matrix overflows the guard; the scaled path still works
-        system = walks.case1()
-        with pytest.raises(ValidationError):
-            walks.transfer_matrix(system, [700.0])
-        assert walks.pressure(system, [700.0]) == pytest.approx(700.0, abs=1e-9)
+        # e^700 is within e^10 of the largest float; P comes from the scaled matrix
+        assert walks.pressure(walks.case1(), [700.0]) == pytest.approx(700.0, abs=1e-9)
 
 
 class TestSpectrum:
@@ -366,7 +363,7 @@ class TestEvolutionMeasure:
         system = walks.case1()
         s = [0.6]
         paths = walks.sample_paths(system, s, n=50_000, paths=50, seed=2)
-        drift = walks.trajectories_batch(system, paths)[:, 0] / 50_000
+        drift = walks.trajectory(system, paths)[:, -1, 0] / 50_000
         target = walks.pressure_gradient(system, s)[0]
         assert float(np.median(np.abs(drift - target))) < 0.02
 
@@ -393,6 +390,15 @@ class TestTrajectory:
     def test_rejects_bad_symbols(self):
         with pytest.raises(ValidationError):
             walks.trajectory(walks.case1(), [0, 2])
+        with pytest.raises(ValidationError, match="symbol 2 "):
+            walks.trajectory(walks.case2(), [[1, -1], [1, 2]])
+
+    def test_stack_is_each_word(self):
+        words = walks.sample_paths(walks.case2(), [0.3, -0.1], n=60, paths=4, seed=5)
+        stack = walks.trajectory(walks.case2(), words, 40)
+        assert stack.shape == (4, 40, 2)
+        for row, word in zip(stack, words):
+            assert np.array_equal(row, walks.trajectory(walks.case2(), word[:40]))
 
 
 class TestFeller:
