@@ -2,9 +2,10 @@
 
 Hausdorff dimension via the per-state fixed-point system, box dimension via
 the prefix-count series, the exact product-formula count for the doubling
-constraint set, a brute-force counting oracle, and the semigroup
-generalization of both dimension formulas. Both box dimensions are one
-semigroup series (:func:`symbolic.series_weights`); KPS is its one-generator case.
+constraint set, a brute-force counting oracle, the semigroup generalization
+of both dimension formulas, and the KPS optimal measure as a finite-state
+source. Both box dimensions are one semigroup series
+(:func:`symbolic.series_weights`); KPS is its one-generator case.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .symbolic import (
     series_weights,
     transition_matrix,
 )
+from .telescopic import BaseMeasure
 from .thermo import fixed_point
 
 _BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 states enumerated
@@ -80,15 +82,28 @@ def _state_operator(automaton: PrefixAutomaton) -> tuple[np.ndarray, np.ndarray]
     return (table >= 0).astype(float), np.maximum(table, 0)
 
 
-def kps_hausdorff(automaton: PrefixAutomaton, q: int, m: int | None = None) -> float:
+def kps_measure(automaton: PrefixAutomaton, q: int) -> BaseMeasure:
+    """The optimal measure on X_Omega (Kenyon-Peres-Solomyak), a source on the automaton.
+
+    State u emits an enabled symbol j with probability t(child) / t(u)^q at
+    the fixed point t of :func:`kps_solution`, rows renormalised against
+    its tolerance; it moves to the child state and starts at the root. Its
+    telescopic measure at q has dimension :func:`kps_hausdorff`.
+    """
+    weights, child = _state_operator(automaton)
+    t = kps_solution(automaton, q).t
+    kernel = weights * t[child] / t[:, None] ** q
+    root = automaton.state_index()[automaton.initial]
+    return BaseMeasure(kernel / kernel.sum(axis=1, keepdims=True), child, root)
+
+
+def kps_hausdorff(automaton: PrefixAutomaton, q: int) -> float:
     """(q-1) log_m of the root value of the per-state fixed point."""
-    _check_m(automaton, m)
     return kps_solution(automaton, q).dimension
 
 
-def kps_box(automaton: PrefixAutomaton, q: int, m: int | None = None, tol: float = 1e-10) -> float:
+def kps_box(automaton: PrefixAutomaton, q: int, tol: float = 1e-10) -> float:
     """(q-1)^2 sum_k log_m |Pref_k| / q^{k+1}: the semigroup series of the one generator q."""
-    _check_m(automaton, m)
     return _box_series(automaton, (q,), tol)
 
 
@@ -156,14 +171,9 @@ def brute_force_count(automaton: PrefixAutomaton, q: int, n: int) -> int:
     m = automaton.m
     if n * math.log(m) > _BRUTE_FORCE_BITS * math.log(2) + 1e-9:
         raise ValidationError(f"m^n too large to enumerate (guard: m^n <= 2^{_BRUTE_FORCE_BITS})")
-    table = automaton.transition_table()
-    nstates = len(automaton.states)
-    sink = nstates
-    trans = np.full((nstates + 1, m), sink, dtype=np.int16)
-    for s, row in enumerate(table):
-        for sym, t in enumerate(row):
-            if t >= 0:
-                trans[s, sym] = t
+    table = np.array(automaton.transition_table())
+    sink = len(table)  # forbidden symbols lead to the sink, and the sink to itself
+    trans = np.vstack([np.where(table >= 0, table, sink), np.full(m, sink)]).astype(np.int16)
     codes = np.arange(m**n, dtype=np.int32)
     init = automaton.state_index()[automaton.initial]
     valid = np.ones(m**n, dtype=bool)
@@ -174,13 +184,6 @@ def brute_force_count(automaton: PrefixAutomaton, q: int, n: int) -> int:
             state = trans[state, sym]
         valid &= state != sink
     return int(valid.sum())
-
-
-def _check_m(automaton: PrefixAutomaton, m: int | None):
-    if m is not None and m != automaton.m:
-        raise ValidationError(
-            f"alphabet size {m} disagrees with the automaton's ({automaton.m})"
-        )
 
 
 def psss_solution(
@@ -229,22 +232,13 @@ def psss_solution(
     return PsssSolution(t_root=float(m) ** (lo + bracket / 2), m=m, depth=len(elems), residual=bracket)
 
 
-def psss_hausdorff(
-    automaton: PrefixAutomaton, spec: SemigroupSpec, m: int | None = None
-) -> float:
+def psss_hausdorff(automaton: PrefixAutomaton, spec: SemigroupSpec) -> float:
     """log_m of the root value of the leveled fixed point."""
-    _check_m(automaton, m)
     return psss_solution(automaton, spec).dimension
 
 
-def psss_box(
-    automaton: PrefixAutomaton,
-    spec: SemigroupSpec,
-    m: int | None = None,
-    tol: float = 1e-10,
-) -> float:
+def psss_box(automaton: PrefixAutomaton, spec: SemigroupSpec, tol: float = 1e-10) -> float:
     """gamma^{-1} sum_k (1/l_k - 1/l_{k+1}) log_m |Pref_k|, truncated at the first Abel tail below tol."""
-    _check_m(automaton, m)
     return _box_series(automaton, spec.primes, tol)
 
 

@@ -156,7 +156,7 @@ def semigroup_series(generators: Sequence[int], tol: float) -> tuple[list[int], 
     after a bound on its rounding; the integer test decides from the first
     depth it cannot skip. The products are listed up to a bound guessed from
     tol, raised sixteenfold while no depth below it passes. A tol so small
-    that the guess or the tail test overflows a float raises ValidationError.
+    that the guess overflows a float raises ValidationError.
     """
     if not 0 < tol < math.inf:  # NaN too: the bound guessed from tol needs a finite log
         raise ValidationError(f"tol must be > 0 and finite, got {tol}")
@@ -165,6 +165,7 @@ def semigroup_series(generators: Sequence[int], tol: float) -> tuple[list[int], 
     g_num = math.prod(generators)  # gamma = g_num / g_den
     g_den = math.prod(g - 1 for g in generators)
     gamma = g_num / g_den
+    tol_num, tol_den = float(tol).as_integer_ratio()
     try:
         # a guess at l_K: it held for every set of up to four primes and every tol tried
         bound = 2 + int(4 * (1 + abs(math.log(tol))) ** len(generators) / tol)
@@ -185,12 +186,12 @@ def semigroup_series(generators: Sequence[int], tol: float) -> tuple[list[int], 
                     lcm = math.lcm(den, l)
                     num, den = num * (lcm // den), lcm
                 num += den // l
-                # the tail test times gamma * den * g_den, all in integers but tol
-                if depth >= first and (depth * (den // l) * g_den + g_num * den - num * g_den
-                                       < tol * (g_num * den)):
+                # the tail test times gamma * den * g_den * tol_den, all in integers
+                if depth >= first and ((depth * (den // l) * g_den + g_num * den - num * g_den) * tol_den
+                                       < tol_num * (g_num * den)):
                     return elements[:depth], num, den
             bound *= 16
-    except OverflowError as e:  # the bound guess or an integer of the tail test left the floats
+    except OverflowError as e:  # the bound guess left the floats
         raise ValidationError(f"tol {tol} is too small for the semigroup series: {e}") from e
 
 

@@ -1,10 +1,11 @@
 """Telescopic product measures.
 
-A base measure on the symbol space is replicated independently across the
-chains {i q^j}; cylinder masses factor over the chains, the dimension is the
-box dimensions' one semigroup series (:func:`symbolic.series_weights`) for
-the one generator q with a_k = H_k / log m, and sampling draws each chain
-from the base measure with a counter-based seeded generator.
+A base measure on the symbol space, a unifilar finite-state source, is
+replicated independently across the chains {i q^j}; cylinder masses factor
+over the chains, the dimension is the box dimensions' one semigroup series
+(:func:`symbolic.series_weights`) for the one generator q with
+a_k = H_k / log m, and sampling draws each chain from the source with a
+counter-based seeded generator.
 """
 
 from __future__ import annotations
@@ -27,47 +28,84 @@ _STOCHASTIC_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BaseMeasure:
-    """An r-step Markov measure on the symbol space (r = 0 is Bernoulli).
+    """A unifilar finite-state source on the symbol space.
 
-    initial: law of the first r symbols, indexed by base-m word code
-    (length m^r; for r = 0 the single entry 1.0).
-    kernel: next-symbol law given the last r symbols, shape (m^r, m).
+    State u emits symbol j with probability kernel[u, j] and moves to state
+    child[u, j]; every word is read from the state `start`. An r-step Markov
+    law is the source :meth:`markov` builds from it.
     """
 
-    m: int
-    order: int
-    initial: np.ndarray
-    kernel: np.ndarray
+    kernel: np.ndarray  # (n, m): next-symbol law of each state
+    child: np.ndarray  # (n, m): the state after each emission
+    start: int
 
     def __post_init__(self):
-        if self.m < 2:
-            raise ValidationError(f"m must be >= 2, got {self.m}")
-        if self.order < 0:
-            raise ValidationError(f"order must be >= 0, got {self.order}")
-        pi = np.asarray(self.initial, dtype=float)
         ker = np.asarray(self.kernel, dtype=float)
-        n = self.m**self.order
-        if pi.shape != (n,):
-            raise ValidationError(f"initial law must have length {n}, got {pi.shape}")
-        if ker.shape != (n, self.m):
-            raise ValidationError(f"kernel must have shape {(n, self.m)}, got {ker.shape}")
-        if not (np.isfinite(pi).all() and np.isfinite(ker).all()):
+        child = np.asarray(self.child)
+        if ker.ndim != 2 or 0 in ker.shape:
+            raise ValidationError(f"kernel must be a nonempty (states, symbols) array, got {ker.shape}")
+        if not np.isfinite(ker).all():
             raise ValidationError("probabilities must be finite")
-        if np.any(pi < 0) or np.any(ker < 0):
+        if np.any(ker < 0):
             raise ValidationError("probabilities must be nonnegative")
-        if abs(pi.sum() - 1.0) > _STOCHASTIC_TOL:
-            raise ValidationError(f"initial law sums to {pi.sum()}, not 1")
         if np.max(np.abs(ker.sum(axis=1) - 1.0)) > _STOCHASTIC_TOL:
             raise ValidationError("kernel rows must sum to 1 within 1e-12")
-        object.__setattr__(self, "initial", pi)
+        n = len(ker)
+        if (child.shape != ker.shape or not np.issubdtype(child.dtype, np.integer)
+                or child.min() < 0 or child.max() >= n):
+            raise ValidationError(f"child must be an integer array of shape {ker.shape} in [0, {n})")
+        if not (isinstance(self.start, (int, np.integer)) and 0 <= self.start < n):
+            raise ValidationError(f"start must be a state in [0, {n}), got {self.start!r}")
         object.__setattr__(self, "kernel", ker)
+        object.__setattr__(self, "child", child.astype(np.int64))
+        object.__setattr__(self, "start", int(self.start))
+
+    @property
+    def m(self) -> int:
+        return self.kernel.shape[1]
 
     # -- constructors --
 
     @classmethod
+    def markov(cls, m: int, order: int, initial, kernel) -> "BaseMeasure":
+        """The r-step Markov law (r = order; 0 is Bernoulli) as a prefix tree of states.
+
+        initial is the law of the first r symbols by base-m word code (for
+        r = 0 the single entry 1.0), kernel the next-symbol law given the
+        last r symbols, shape (m^r, m). The states are the words of length
+        < r, shortest first and by code, from the empty word (the start 0),
+        then the m^r contexts. A short word u emits j with probability
+        P(uj) / P(u) under `initial`, or 1/m where P(u) = 0.
+        """
+        if m < 2:
+            raise ValidationError(f"m must be >= 2, got {m}")
+        if order < 0:
+            raise ValidationError(f"order must be >= 0, got {order}")
+        pi = np.asarray(initial, dtype=float)
+        ker = np.asarray(kernel, dtype=float)
+        n = m**order
+        if pi.shape != (n,):
+            raise ValidationError(f"initial law must have length {n}, got {pi.shape}")
+        if ker.shape != (n, m):
+            raise ValidationError(f"kernel must have shape {(n, m)}, got {ker.shape}")
+        if not (np.isfinite(pi).all() and np.all(pi >= 0) and abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL):
+            raise ValidationError(f"initial law must be finite, >= 0 and sum to 1, got sum {pi.sum()}")
+        # the words of length k are states (m^k - 1)/(m - 1) + code; u emits j and moves to uj
+        rows, child, den = [], [], np.ones(1)  # den: the law of the words of length k
+        for k in range(order):
+            num = pi.reshape(m ** (k + 1), -1).sum(axis=1)
+            with np.errstate(invalid="ignore", divide="ignore"):
+                rows.append(np.where(den[:, None] > 0, num.reshape(-1, m) / den[:, None], 1.0 / m))
+            child.append((m ** (k + 1) - 1) // (m - 1) + np.arange(m ** (k + 1)).reshape(-1, m))
+            den = num
+        # a context moves to the context of its last r symbols
+        child.append((n - 1) // (m - 1) + (np.arange(n)[:, None] * m + np.arange(m)) % n)
+        return cls(kernel=np.vstack(rows + [ker]), child=np.vstack(child), start=0)
+
+    @classmethod
     def bernoulli(cls, probs: Sequence[float]) -> "BaseMeasure":
         p = np.asarray(probs, dtype=float)
-        return cls(m=len(p), order=0, initial=np.ones(1), kernel=p[None, :])
+        return cls.markov(m=len(p), order=0, initial=np.ones(1), kernel=p[None, :])
 
     @classmethod
     def uniform(cls, m: int) -> "BaseMeasure":
@@ -81,17 +119,18 @@ class BaseMeasure:
 
     @classmethod
     def from_markov_spec(cls, spec: "BaseMeasure") -> "BaseMeasure":
-        """A copy of the Markov law `spec`, such as :func:`thermo.markov_measure` returns."""
-        return cls(m=spec.m, order=spec.order, initial=spec.initial, kernel=spec.kernel)
+        """A copy of the source `spec`, such as :func:`thermo.markov_measure` returns."""
+        return cls(kernel=spec.kernel, child=spec.child, start=spec.start)
 
     @classmethod
     def from_json(cls, text: str) -> "BaseMeasure":
+        """The Markov law of a document {"m", "order", "initial", "kernel"} (:meth:`markov`)."""
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ValidationError(f"invalid measure JSON: {e}") from e
         try:
-            return cls(
+            return cls.markov(
                 m=int(doc["m"]),
                 order=int(doc["order"]),
                 initial=np.asarray(doc["initial"], dtype=float),
@@ -100,56 +139,38 @@ class BaseMeasure:
         except (KeyError, TypeError) as e:
             raise ValidationError(f"malformed measure document: {e}") from e
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "m": self.m,
-                "order": self.order,
-                "initial": self.initial.tolist(),
-                "kernel": self.kernel.tolist(),
-            }
-        )
-
-    # -- marginals --
-
-    def prefix_marginals(self) -> list[np.ndarray]:
-        """Laws of the first k symbols for k = 0..order (summing out the tail)."""
-        out = [np.ones(1)]
-        for k in range(1, self.order + 1):
-            marg = self.initial.reshape(self.m**k, -1).sum(axis=1)
-            out.append(marg)
-        return out
+    # -- reading the source --
 
     def word_mass(self, word: Sequence[int]) -> float:
-        """Mass of the cylinder [a_1..a_k]."""
-        w = check_word(word, self.m)
-        k = len(w)
-        if k <= self.order:
-            marg = self.prefix_marginals()[k]
-            code = 0
-            for a in w:
-                code = code * self.m + a
-            return float(marg[code])
-        code = 0
-        for a in w[: self.order]:
-            code = code * self.m + a
-        mass = float(self.initial[code])
-        for a in w[self.order :]:
-            mass *= float(self.kernel[code, a])
-            code = (code * self.m + a) % len(self.kernel)  # the last `order` symbols
+        """Mass of the cylinder [a_1..a_k]: the product of the emissions along its path."""
+        mass, state = 1.0, self.start
+        for a in check_word(word, self.m):
+            mass *= float(self.kernel[state, a])
+            state = self.child[state, a]
         return mass
 
     def word_masses(self, k: int) -> np.ndarray:
         """Masses of all m^k cylinders of length k, ordered by word code."""
-        if k <= self.order:
-            return self.prefix_marginals()[k]
-        masses = self.initial
-        for _ in range(self.order, k):
-            # extend every word u by one symbol: mass(ua) = mass(u) * kernel[ctx(u), a]
-            n = len(masses)
-            ctx = np.arange(n) % (self.m**self.order) if self.order > 0 else np.zeros(n, int)
-            masses = (masses[:, None] * self.kernel[ctx]).reshape(-1)
+        masses, states = np.ones(1), np.array([self.start])
+        for _ in range(k):
+            # extend every word u by one symbol: mass(ua) = mass(u) * kernel[state(u), a]
+            masses = (masses[:, None] * self.kernel[states]).reshape(-1)
+            states = self.child[states].reshape(-1)
         return masses
+
+    def step(self, states: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(symbols, next states) of one draw from each state by the uniforms u.
+
+        Each symbol is the number of cumulative row masses below its u,
+        clipped to m - 1 against rounding. A one-state source skips the
+        gathers: its rows are all the one row, and it never moves.
+        """
+        symbols = np.zeros(len(u), dtype=np.int64)
+        one_state = len(self.kernel) == 1
+        for cum in np.cumsum(self.kernel, axis=1).T:
+            symbols += u > (cum[0] if one_state else cum[states])
+        np.clip(symbols, 0, self.m - 1, out=symbols)
+        return symbols, states if one_state else self.child[states, symbols]
 
 
 @dataclass(frozen=True)
@@ -180,13 +201,10 @@ class SamplePath:
 def cylinder_mass(measure: TelescopicMeasure, u: Sequence[int]) -> float:
     """Product over chains of the base-measure mass of the restriction of u."""
     w = check_word(u, measure.base.m)
-    n = len(w)
-    if n == 0:
+    if not w:
         return 1.0
-    mass = 1.0
-    for chain in lambda_partition(measure.q, n):
-        mass *= measure.base.word_mass([w[k - 1] for k in chain.elements])
-    return mass
+    chains = lambda_partition(measure.q, len(w))
+    return math.prod((measure.base.word_mass([w[k - 1] for k in c.elements]) for c in chains), start=1.0)
 
 
 def _entropy(p: np.ndarray) -> float:
@@ -197,22 +215,19 @@ def _entropy(p: np.ndarray) -> float:
 def marginal_entropies_up_to(base: BaseMeasure, depth: int) -> list[float]:
     """[H_0, ..., H_depth], entropies (natural log) of the length-k marginals, in one sweep.
 
-    Beyond the Markov order the chain rule applies: the entropy accumulates
-    the context-averaged kernel entropy while the context law evolves, so no
-    m^k enumeration is needed.
+    By the chain rule H_k is H_{k-1} plus the row entropies averaged over
+    the state law, which evolves from the start: no m^k enumeration.
     """
     if depth < 0:
         raise ValidationError(f"depth must be >= 0, got {depth}")
-    out = [0.0] + [_entropy(p) for p in base.prefix_marginals()[1 : depth + 1]]
-    h = _entropy(base.initial)
-    kernel_entropy = np.array([_entropy(row) for row in base.kernel])
-    n = len(base.kernel)  # context u emits j and moves to context (u m + j) mod m^order
-    transition = transition_matrix(base.kernel, (np.arange(n)[:, None] * base.m + np.arange(base.m)) % n)
-    context = base.initial
-    for _ in range(base.order, depth):
-        h += float(context @ kernel_entropy)
+    row_entropy = np.array([_entropy(row) for row in base.kernel])
+    transition = transition_matrix(base.kernel, base.child)
+    law = np.eye(len(base.kernel))[base.start]
+    out, h = [0.0], 0.0
+    for _ in range(depth):
+        h += float(law @ row_entropy)
         out.append(h)
-        context = context @ transition
+        law = law @ transition
     return out
 
 
@@ -275,29 +290,12 @@ def sample(measure: TelescopicMeasure, n: int, seed: int) -> SamplePath:
     bases, lengths = _chain_lengths(q, n)
     levels = int(lengths[0])  # the chain of base 1 is the longest
     out = np.empty(n, dtype=np.int64)
-    marginals = base.prefix_marginals()
-    context = np.zeros(len(bases), dtype=np.int64)
+    states = np.full(len(bases), base.start)
     for level in range(levels):
         count = int(np.count_nonzero(lengths > level))  # chains sorted by base, active is a prefix
         u = _philox_draws(seed, level * len(bases), count)
-        ctx = context[:count]
-        if level < base.order:
-            # conditional of the initial law given the first `level` symbols
-            num = marginals[level + 1].reshape(-1, base.m)
-            den = marginals[level]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                probs = np.where(den[:, None] > 0, num / den[:, None], 1.0 / base.m)
-        else:
-            probs = base.kernel
-        # the symbol is the number of cumulative masses below u
-        symbols = np.zeros(count, dtype=np.int64)
-        for cum in np.cumsum(probs, axis=1).T:
-            symbols += u > cum[ctx]
-        np.clip(symbols, 0, base.m - 1, out=symbols)
-        positions = bases[:count] * q**level
-        out[positions - 1] = symbols
-        if base.order > 0:  # code of the last min(level + 1, order) symbols
-            context[:count] = (ctx * base.m + symbols) % len(base.kernel)
+        symbols, states[:count] = base.step(states[:count], u)
+        out[bases[:count] * q**level - 1] = symbols
     return SamplePath(symbols=out, seed=seed, n=n)
 
 

@@ -513,7 +513,7 @@ def ruelle_dimension(potential: Potential, s: float) -> float:
 
 
 def markov_measure(potential: Potential, s: float) -> BaseMeasure:
-    """The (d-1)-step Markov law (pi_s, Q_s) defined by the fixed point at s."""
+    """The (d-1)-step Markov law (pi_s, Q_s) defined by the fixed point at s, as a source."""
     m, d = potential.m, potential.d
     sol = solve_psi(potential, s)
     # initial law pi([a_1..a_{d-1}]) = prod_j psi(a_1..a_j) / psi(a_1..a_{j-1})^q,
@@ -524,7 +524,7 @@ def markov_measure(potential: Potential, s: float) -> BaseMeasure:
         pi *= np.repeat(sol.levels[k], m ** (order - k))
     # transition kernel from context (a_1..a_{d-1}) to appended symbol j;
     # both pi and the kernel are invariant under the internal centering shift
-    return BaseMeasure(m=m, order=order, initial=pi, kernel=sol.kernel)
+    return BaseMeasure.markov(m=m, order=order, initial=pi, kernel=sol.kernel)
 
 
 @dataclass(frozen=True)

@@ -22,6 +22,7 @@ import numpy as np
 from . import riesz
 from .errors import ConvergenceError, ValidationError
 from .symbolic import transition_matrix
+from .telescopic import BaseMeasure
 from .thermo import _GRAD_TOL, newton_slope
 
 OUT_OF_DOMAIN = float("nan")
@@ -59,7 +60,12 @@ class WalkSystem:
         power = np.linalg.matrix_power(tau, self.p)
         if np.max(np.abs(power - np.eye(tau.shape[0]))) >= 1e-10:
             raise ValidationError(f"tau^{self.p} is not the identity")
-        steps = tuple(int(a) for a in self.steps)
+        try:
+            steps = tuple(int(a) for a in self.steps)
+        except (TypeError, ValueError, OverflowError):  # None, NaN, inf, text
+            steps = None
+        if steps is None or steps != tuple(self.steps):  # 1.5 is not the step 1
+            raise ValidationError(f"steps must be integers, got {self.steps!r}")
         if not steps:
             raise ValidationError("step set must be nonempty")
         if math.gcd(self.p, *steps) != 1:  # the residues of A generate gcd(p, A) Z/pZ
@@ -112,7 +118,7 @@ class WalkSystem:
                 p=int(doc["p"]),
                 tau=np.asarray(doc["tau"], dtype=float),
                 v=np.asarray(doc["v"], dtype=float),
-                steps=tuple(int(a) for a in doc["A"]),
+                steps=tuple(doc["A"]),
             )
         except (KeyError, TypeError) as e:
             raise ValidationError(f"malformed walk-system document: {e}") from e
@@ -337,34 +343,34 @@ def evolution_bound(system: WalkSystem, s) -> float:
     return float(np.abs(first[np.array(system.steps) % system.p][:, None] + last).max())
 
 
+def evolution_measure(system: WalkSystem, s) -> BaseMeasure:
+    """mu_s as a finite-state source on step indices (symbol i is the step A[i]).
+
+    States 0..p-1 are the residues w: w takes step a by the Perron chain,
+    Q(w -> w + a), and moves to w + a mod p. State p is the start, whose
+    step a has probability t_{a mod p} / sum_b t_{b mod p}.
+    """
+    data = walk_pressure(system, s)
+    chain, _ = _perron_chain(system, data)
+    child = (np.arange(system.p)[:, None] + np.array(system.steps)) % system.p
+    kernel = np.take_along_axis(chain, child, axis=1)
+    kernel /= kernel.sum(axis=1, keepdims=True)  # exact identity up to rounding
+    first = child[0]  # the start moves as residue 0 does, to A mod p
+    start = data.t[first] / data.t[first].sum()
+    return BaseMeasure(np.vstack([kernel, start]), np.vstack([child, first]), system.p)
+
+
 def sample_paths(system: WalkSystem, s, n: int, paths: int, seed: int) -> np.ndarray:
-    """Draw `paths` words of length n from mu_s, shape (paths, n), reproducibly."""
+    """`paths` words of length n from :func:`evolution_measure`, shape (paths, n), reproducibly."""
     if n < 1 or paths < 1:
         raise ValidationError("n and paths must be >= 1")
-    s = _as_param(system, s)
-    data = walk_pressure(system, s)
-    t = data.t
-    chain, _ = _perron_chain(system, data)
-    steps = np.array(system.steps)
-    # per-residue step laws Q(w -> w + a)
-    kernel = np.take_along_axis(chain, (np.arange(system.p)[:, None] + steps) % system.p, axis=1)
-    kernel /= kernel.sum(axis=1, keepdims=True)  # exact identity up to rounding
-    first_res = steps % system.p
-    pi = t[first_res] / t[first_res].sum()
-    rng = np.random.Generator(np.random.Philox(seed))
+    source = evolution_measure(system, s)
+    u = np.random.Generator(np.random.Philox(seed)).random((paths, n))
     out = np.empty((paths, n), dtype=np.int64)
-    u = rng.random((paths, n))
-    choice = (u[:, 0][:, None] > np.cumsum(pi)[None, :]).sum(axis=1)
-    out[:, 0] = steps[choice]
-    w = first_res[choice]
-    cumk = np.cumsum(kernel, axis=1)
-    for k in range(1, n):
-        rows = cumk[w]
-        choice = (u[:, k][:, None] > rows).sum(axis=1)
-        np.clip(choice, 0, len(steps) - 1, out=choice)
-        out[:, k] = steps[choice]
-        w = (w + out[:, k]) % system.p
-    return out
+    states = np.full(paths, source.start)
+    for k in range(n):
+        out[:, k], states = source.step(states, u[:, k])
+    return np.array(system.steps)[out]
 
 
 def trajectory(system: WalkSystem, x, n: int | None = None) -> np.ndarray:
@@ -373,7 +379,7 @@ def trajectory(system: WalkSystem, x, n: int | None = None) -> np.ndarray:
     x is one word, shape (len,), giving shape (n, D), or a stack of words,
     shape (paths, len), giving shape (paths, n, D).
     """
-    x = np.asarray(x, dtype=np.int64)
+    x = np.asarray(x)
     if n is None:
         n = x.shape[-1]
     if n > x.shape[-1]:
@@ -383,11 +389,11 @@ def trajectory(system: WalkSystem, x, n: int | None = None) -> np.ndarray:
 
 def _residues(system: WalkSystem, x) -> np.ndarray:
     """w_k = x_1 + ... + x_k mod p along the last axis of x, whose symbols must be steps."""
-    x = np.asarray(x, dtype=np.int64)
-    bad = x[~np.isin(x, system.steps)]
+    x = np.asarray(x)
+    bad = x[~np.isin(x, system.steps)]  # 1.7 is no step, where a cast to int read it as 1
     if bad.size:
         raise ValidationError(f"symbol {bad[0]} is not a step of the system")
-    return np.cumsum(x, axis=-1) % system.p
+    return np.cumsum(x.astype(np.int64), axis=-1) % system.p
 
 
 # -- polymer-chain second moment --

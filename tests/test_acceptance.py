@@ -98,7 +98,7 @@ def test_criterion_01_closed_form_spectrum_d3_as_stated():
         signs = [2 * a - 1 for a in word]
         forced = all(signs[j] * signs[j + 1] * signs[j + 2] == 1 for j in range(4))
         assert subset.accepts(word) == forced, word
-    dim_subset = multiplicative.kps_hausdorff(subset, 2, m=2)
+    dim_subset = multiplicative.kps_hausdorff(subset, 2)
     stated_at_one = 1 - 1 / 3 + entropy(1.0) / (3 * LOG2)
     # the endpoints alpha = +/-1: the N = 4 form gives 3/4 there, and each
     # level set contains the subset above or its sign flip
@@ -123,7 +123,7 @@ def test_criterion_02_x2_hausdorff():
     roots = np.roots([1.0, -2.0, 1.0, -1.0])
     root = next(r.real for r in roots if abs(r.imag) < 1e-12)
     want = math.log(root) / LOG2
-    got = multiplicative.kps_hausdorff(symbolic.fibonacci_automaton(), 2, m=2)
+    got = multiplicative.kps_hausdorff(symbolic.fibonacci_automaton(), 2)
     report(2, abs(got - want) < 1e-9, f"dim_H={got:.12f}, err={abs(got - want):.3g}")
 
 

@@ -6,7 +6,9 @@ files and stdout, and the `riesz.sample`, `telescopic.sample` and
 per-symbol loop samplers that the array versions replaced, so these tests
 check the array versions against that code, not against themselves. The
 `walks.sample_paths` digests were taken before its evolution-measure
-helpers were rewritten around the telescoping identity.
+helpers were rewritten around the telescoping identity, and the
+`thermo.markov_measure` digests before the base measure became a
+finite-state source.
 """
 
 import hashlib
@@ -14,7 +16,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from multifract import cli, riesz, telescopic, walks
+from multifract import cli, riesz, telescopic, thermo, walks
 
 
 def sha256(data: bytes) -> str:
@@ -32,21 +34,19 @@ def arrays_digest(arrays) -> str:
     return h.hexdigest()
 
 
-ORDER1_M3 = telescopic.BaseMeasure(
+ORDER1_M3 = telescopic.BaseMeasure.markov(
     m=3,
     order=1,
     initial=np.array([0.2, 0.3, 0.5]),
     kernel=np.array([[0.1, 0.6, 0.3], [0.5, 0.25, 0.25], [0.3, 0.3, 0.4]]),
 )
-ORDER2_M2 = telescopic.BaseMeasure(
+ORDER2_M2 = telescopic.BaseMeasure.markov(
     m=2,
     order=2,
     initial=np.array([0.1, 0.2, 0.3, 0.4]),
     kernel=np.array([[0.5, 0.5], [0.2, 0.8], [0.7, 0.3], [0.9, 0.1]]),
 )
-ORDER1_M2 = telescopic.BaseMeasure(
-    m=2, order=1, initial=np.array([0.3, 0.7]), kernel=np.array([[0.9, 0.1], [0.4, 0.6]])
-)
+ORDER1_M2_JSON = '{"m": 2, "order": 1, "initial": [0.3, 0.7], "kernel": [[0.9, 0.1], [0.4, 0.6]]}'
 LAWS = {
     "uniform2": telescopic.BaseMeasure.uniform(2),
     "uniform3": telescopic.BaseMeasure.uniform(3),
@@ -99,7 +99,7 @@ SAMPLE_CLI = {
 def test_sample_cli_bytes(tmp_path, measure, m, q, n, seed):
     if measure != "uniform":
         law = tmp_path / measure
-        law.write_text(ORDER1_M2.to_json())
+        law.write_text(ORDER1_M2_JSON)
         measure = str(law)
     out = tmp_path / "path.txt"
     argv = ["sample", "--measure", measure, "--m", str(m), "--q", str(q), "--n", str(n),
@@ -138,6 +138,36 @@ def test_telescopic_sample_arrays(law, q):
     measure = telescopic.TelescopicMeasure(base=LAWS[law], q=q)
     paths = (telescopic.sample(measure, n, seed).symbols for n in TELESCOPIC_NS for seed in (0, 11))
     assert arrays_digest(paths) == TELESCOPIC[(law, q)]
+
+
+def markov_laws():
+    """The Markov laws of three fixed points, built the way `sample --potential` builds them."""
+    indicator = thermo.indicator_potential(2, 2)
+    seeded = thermo.Potential(m=3, q=2, d=3, table=np.random.default_rng(3).uniform(-1, 1, (3, 3, 3)))
+    return {
+        "indicator": thermo.markov_measure(indicator, thermo.solve_pressure_slope(indicator, 0.5)),
+        "rademacher": thermo.markov_measure(thermo.rademacher_potential(2, 3), 0.7),
+        "seeded": thermo.markov_measure(seeded, -1.3),
+    }
+
+
+MARKOV_NS = (1, 2, 3, 7, 1000, 99_999)
+MARKOV = {
+    # (law, q): digest of the paths for every n in MARKOV_NS and seeds 0, 11
+    ("indicator", 2): "c3a591c5e6b18279ac72ba2c21a4a0e8926b006b81ff8470de1052cff760ffd0",
+    ("indicator", 3): "f28da4fb02af84a5a6107a9b74a23df175fb31ba8429cd6cc0d8cb46e22151b4",
+    ("rademacher", 2): "3216af5956aa707601cea8f967c56828f5ab9c7a1a005d5fef9575c38426ef32",
+    ("rademacher", 3): "efbedf26a8911cb00b387184ca88d96c64b639d31deba4cde557ce3271ecc6f7",
+    ("seeded", 2): "2a30f08edb50beaf9e926329c0de7835d9a157d33da176b61e36cdee7844e3b1",
+    ("seeded", 3): "daf29bdf54433c5d4eabf2f4a2a713721f777bc77898f928765e1a6842ad711f",
+}
+
+
+@pytest.mark.parametrize("law, q", sorted(MARKOV))
+def test_markov_measure_sample_arrays(law, q):
+    measure = telescopic.TelescopicMeasure(base=markov_laws()[law], q=q)
+    paths = (telescopic.sample(measure, n, seed).symbols for n in MARKOV_NS for seed in (0, 11))
+    assert arrays_digest(paths) == MARKOV[(law, q)]
 
 
 RIESZ_NS = (1, 2, 3, 7, 1000, 100_003)

@@ -208,6 +208,12 @@ class TestWalkCommand:
         assert run(["walk", "--system", str(system), *mode]) == cli.EXIT_CONFIG
         assert capfd.readouterr().err == "error: tau and v must be finite\n"
 
+    def test_non_integer_step_is_config_error(self, tmp_path, capfd):
+        system = tmp_path / "half.json"
+        system.write_text('{"p": 2, "tau": [[-1]], "v": [1], "A": [0, 1.5]}')
+        assert run(["walk", "--system", str(system), "--alpha", "0.3"]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err == "error: steps must be integers, got (0, 1.5)\n"
+
     def test_lost_perron_vector_is_numeric_error(self, tmp_path, capfd):
         # parity18 of tests/test_walks.py: at s = 50 the Perron vector is lost
         # to rounding, where the grid printed 50,nan,nan and exited 0

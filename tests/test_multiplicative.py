@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multifract import cli, multiplicative, symbolic
+from multifract import cli, multiplicative, symbolic, telescopic
 from multifract.errors import ConvergenceError, ValidationError
 
 LOG2 = math.log(2)
@@ -57,6 +57,18 @@ DIMS_PINS = {
 }
 
 
+def six_automata():
+    """The automata of `TestPsss::test_kps_reduction`."""
+    return (
+        symbolic.fibonacci_automaton(),
+        symbolic.forbid_ones_run(3),
+        symbolic.even_ones_shift(),
+        symbolic.two_regular_ternary(),
+        symbolic.full_shift(3),
+        symbolic.full_shift(2),
+    )
+
+
 def cubic_root():
     roots = np.roots([1.0, -2.0, 1.0, -1.0])
     real = [r.real for r in roots if abs(r.imag) < 1e-12]
@@ -99,6 +111,23 @@ class TestKps:
         dim_h = multiplicative.kps_hausdorff(aut, q)
         dim_b = multiplicative.kps_box(aut, q, tol=1e-10)
         assert dim_h <= dim_b + 1e-9
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_optimal_measure_carries_the_dimension(self, q):
+        # the entropy series of the KPS measure checks dim_H apart from the root value
+        for aut in six_automata():
+            measure = telescopic.TelescopicMeasure(base=multiplicative.kps_measure(aut, q), q=q)
+            got = telescopic.dimension(measure, tol=1e-13)
+            assert got == pytest.approx(multiplicative.kps_hausdorff(aut, q), abs=1e-12)
+
+    @pytest.mark.parametrize("q", [2, 3, 5])
+    def test_optimal_measure_paths_lie_in_the_set(self, q):
+        n = 5000
+        for aut in six_automata():
+            measure = telescopic.TelescopicMeasure(base=multiplicative.kps_measure(aut, q), q=q)
+            path = telescopic.sample(measure, n, seed=q).symbols
+            for chain in symbolic.lambda_partition(q, n):
+                assert aut.accepts(symbolic.restrict(path, chain))
 
 
 class TestBoxCounting:

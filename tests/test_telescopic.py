@@ -54,13 +54,14 @@ class TestBaseMeasure:
         assert base.word_mass((1, 1, 0)) == pytest.approx(0.8 * 0.8 * 0.2, abs=1e-15)
 
     def test_markov_masses(self):
-        spec = thermo.markov_measure(thermo.indicator_potential(2, 2), 0.9)
-        base = telescopic.BaseMeasure.from_markov_spec(spec)
+        potential = thermo.indicator_potential(2, 2)
+        sol = thermo.solve_psi(potential, 0.9)
+        base = telescopic.BaseMeasure.from_markov_spec(thermo.markov_measure(potential, 0.9))
         word = (1, 0, 1, 1)
-        want = spec.initial[1]
+        want = sol.levels[1][1]
         ctx = 1
         for a in word[1:]:
-            want *= spec.kernel[ctx, a]
+            want *= sol.kernel[ctx, a]
             ctx = a
         assert base.word_mass(word) == pytest.approx(want, abs=1e-15)
 
@@ -69,11 +70,14 @@ class TestBaseMeasure:
         for k in (1, 3, 6):
             assert base.word_masses(k).sum() == pytest.approx(1.0, abs=1e-12)
 
-    def test_json_round_trip(self):
+    def test_from_json(self):
         base = telescopic.BaseMeasure.bernoulli([0.25, 0.75])
-        again = telescopic.BaseMeasure.from_json(base.to_json())
-        assert np.allclose(again.initial, base.initial)
-        assert np.allclose(again.kernel, base.kernel)
+        again = telescopic.BaseMeasure.from_json(
+            '{"m": 2, "order": 0, "initial": [1.0], "kernel": [[0.25, 0.75]]}'
+        )
+        assert np.array_equal(again.kernel, base.kernel)
+        assert np.array_equal(again.child, base.child)
+        assert again.start == base.start
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValidationError):
@@ -86,7 +90,33 @@ class TestBaseMeasure:
     def test_rejects_non_finite(self, initial, kernel):
         # every comparison with NaN is false, so NaN passed the sign and sum checks
         with pytest.raises(ValidationError):
-            telescopic.BaseMeasure(m=2, order=0, initial=np.array(initial), kernel=np.array(kernel))
+            telescopic.BaseMeasure.markov(m=2, order=0, initial=np.array(initial), kernel=np.array(kernel))
+
+
+    def test_markov_is_a_prefix_tree(self):
+        # states: the empty word, 0, 1, then the contexts 00, 01, 10, 11
+        kernel = [[0.5, 0.5], [0.2, 0.8], [0.7, 0.3], [0.9, 0.1]]
+        base = telescopic.BaseMeasure.markov(m=2, order=2, initial=[0.1, 0.2, 0.3, 0.4], kernel=kernel)
+        assert base.start == 0 and base.m == 2
+        assert base.child.tolist() == [[1, 2], [3, 4], [5, 6], [3, 4], [5, 6], [3, 4], [5, 6]]
+        assert np.allclose(base.kernel[:3], [[0.3, 0.7], [1 / 3, 2 / 3], [3 / 7, 4 / 7]], rtol=0, atol=1e-15)
+        assert base.word_masses(2) == pytest.approx([0.1, 0.2, 0.3, 0.4], abs=1e-15)
+
+    def test_markov_null_word_emits_uniformly(self):
+        base = telescopic.BaseMeasure.markov(m=2, order=1, initial=[1.0, 0.0], kernel=[[0.5, 0.5]] * 2)
+        assert base.kernel[0].tolist() == [1.0, 0.0]
+        initial = [1.0] + [0.0] * 8
+        base = telescopic.BaseMeasure.markov(m=3, order=2, initial=initial, kernel=[[0.2, 0.3, 0.5]] * 9)
+        assert base.kernel[2].tolist() == pytest.approx([1 / 3] * 3)  # the word 1 has mass 0
+
+    @pytest.mark.parametrize(
+        "child, start",
+        [([[0, 2], [1, 0]], 0), ([[0, -1], [1, 0]], 0), ([[0, 1], [1, 0]], 2), ([[0, 1], [1, 0]], -1),
+         ([[0.0, 1.0], [1.0, 0.0]], 0), ([[0, 1]], 0), ([[0, 1], [1, 0]], 1.0)],
+    )
+    def test_rejects_bad_child_or_start(self, child, start):
+        with pytest.raises(ValidationError, match="child|start"):
+            telescopic.BaseMeasure(kernel=np.full((2, 2), 0.5), child=np.array(child), start=start)
 
 
 class TestCylinderMass:
@@ -195,12 +225,23 @@ class TestDimension:
         with pytest.raises(ValidationError):
             symbolic.series_weights((2,), tol)
 
-    @pytest.mark.parametrize("q, tol", [((2,), 1e-305), ((2,), 1e-320), ((2, 3), 1e-300)])
+    @pytest.mark.parametrize("q, tol", [((2,), 1e-305), ((2,), 1e-320), ((2, 3), 1e-305)])
     def test_series_rejects_tol_below_floats(self, q, tol):
-        # the bound guess, 4 (1 + |log tol|) / tol, overflows at (2,) and 1e-305;
-        # at (2, 3) and 1e-300 the tail test's integers exceed the largest float
+        # the bound guess, 4 (1 + |log tol|)^len(q) / tol, overflows
         with pytest.raises(ValidationError, match="tol"):
             symbolic.semigroup_series(q, tol)
+
+    def test_series_depth_beyond_float_integers(self):
+        # at <2, 3> and 1e-250 the tail test's integers exceed the largest float;
+        # compared exactly, K is the first depth whose Abel tail is below tol
+        tol = Fraction(1e-250)
+        elements, num, den = symbolic.semigroup_series((2, 3), 1e-250)
+        gamma = Fraction(3)
+        depth = len(elements)
+        partial = Fraction(num, den)  # sum_{k <= K} 1/l_k
+        assert (Fraction(depth, elements[-1]) + gamma - partial) / gamma < tol
+        partial -= Fraction(1, elements[-1])
+        assert (Fraction(depth - 1, elements[-2]) + gamma - partial) / gamma >= tol
 
     def test_markov_measure_is_a_base_measure(self):
         phi = thermo.indicator_potential(2, 3)

@@ -49,6 +49,18 @@ class TestWalkSystem:
         with pytest.raises(ValidationError, match="finite"):
             walks.WalkSystem(p=2, tau=np.array(tau), v=np.array(v), steps=(0, 1))
 
+    @pytest.mark.parametrize("steps", [(0, 1.5), (0.5, 1), (0, math.nan), (0, "1"), (0, None)])
+    def test_rejects_non_integer_steps(self, steps):
+        # 1.5 was once read as the step 1
+        with pytest.raises(ValidationError, match="steps must be integers"):
+            walks.WalkSystem(p=2, tau=np.array([[-1.0]]), v=np.array([1.0]), steps=steps)
+
+    def test_from_json_rejects_non_integer_steps(self):
+        with pytest.raises(ValidationError, match="steps must be integers"):
+            walks.WalkSystem.from_json('{"p": 2, "tau": [[-1]], "v": [1], "A": [0, 1.5]}')
+        system = walks.WalkSystem.from_json('{"p": 2, "tau": [[-1]], "v": [1], "A": [0, 1.0]}')
+        assert system.steps == (0, 1)
+
     def test_order3_rotation(self):
         tau = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         system = walks.WalkSystem(p=3, tau=tau, v=np.array([1.0, 0.0, 0.0]), steps=(0, 1))
@@ -359,6 +371,16 @@ class TestEvolutionMeasure:
                     )
                     assert abs(defect) <= bound + 1e-9
 
+    @pytest.mark.parametrize("name, s", [("case1", [0.8]), ("case2", [0.5, -0.2])])
+    def test_source_masses_are_the_evolution_masses(self, name, s):
+        system = getattr(walks, name)()
+        source = walks.evolution_measure(system, s)
+        rng = np.random.default_rng(4)
+        for n in (1, 2, 7, 40):
+            word = rng.integers(0, len(system.steps), n)
+            want = walks.evolution_measure_mass(system, s, np.array(system.steps)[word])
+            assert source.word_mass(word) == pytest.approx(want, rel=1e-12)
+
     def test_sampled_drift(self):
         system = walks.case1()
         s = [0.6]
@@ -392,6 +414,13 @@ class TestTrajectory:
             walks.trajectory(walks.case1(), [0, 2])
         with pytest.raises(ValidationError, match="symbol 2 "):
             walks.trajectory(walks.case2(), [[1, -1], [1, 2]])
+
+    def test_rejects_non_integer_symbols(self):
+        # 1.7 was once read as the step 1
+        with pytest.raises(ValidationError, match="symbol 1.7 "):
+            walks.trajectory(walks.case1(), [0, 1.7])
+        with pytest.raises(ValidationError, match="symbol 1.7 "):
+            walks.evolution_log_mass(walks.case1(), [0.3], [0, 1.7])
 
     def test_stack_is_each_word(self):
         words = walks.sample_paths(walks.case2(), [0.3, -0.1], n=60, paths=4, seed=5)
