@@ -39,6 +39,14 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
+def _parse_list(text: str, kind: type, flag: str) -> list:
+    """The comma-separated values of `kind` given to the option `flag`."""
+    try:
+        return [kind(v) for v in text.split(",")]
+    except ValueError as e:
+        raise ValidationError(f"{flag} must be comma-separated {kind.__name__}s, got {text!r}") from e
+
+
 def _read_config(path: str) -> str:
     try:
         return Path(path).read_text()
@@ -104,8 +112,7 @@ def cmd_dims(args) -> int:
     automaton = symbolic.PrefixAutomaton.from_json(_read_config(args.config))
     spec = None
     if args.semigroup:
-        primes = tuple(int(p) for p in args.semigroup.split(","))
-        spec = symbolic.SemigroupSpec(primes)
+        spec = symbolic.SemigroupSpec(tuple(_parse_list(args.semigroup, int, "--semigroup")))
     report = multiplicative.dims_report(automaton, q=args.q, spec=spec, tol=args.tol)
     _write(json.dumps(report, indent=2) + "\n", args)
     return EXIT_OK
@@ -122,7 +129,7 @@ def _load_system(args) -> walks.WalkSystem:
 def cmd_walk(args) -> int:
     system = _load_system(args)
     if args.alpha is not None:
-        alpha = np.array([float(a) for a in args.alpha.split(",")])
+        alpha = np.array(_parse_list(args.alpha, float, "--alpha"))
         if alpha.shape != (system.dim,):
             raise ValidationError(f"alpha needs {system.dim} coordinates")
         dim = walks.walk_spectrum(system, alpha)

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the integer check of JSON fields."""
 
 
 class ValidationError(ValueError):
@@ -19,3 +19,11 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
         self.parameter = parameter
+
+
+def json_int(doc: dict, key: str) -> int:
+    """doc[key] as an int if it is a whole number (2 or 2.0, not 2.7, "2" or true); else ValidationError."""
+    value = doc[key]
+    if type(value) is int or (type(value) is float and value.is_integer()):
+        return int(value)
+    raise ValidationError(f"{key} must be an integer, got {value!r}")

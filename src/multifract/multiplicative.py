@@ -24,12 +24,14 @@ from .symbolic import (
     prefix_counts_up_to,
     semigroup_series,
     series_weights,
+    spherically_symmetric,
     transition_matrix,
 )
 from .telescopic import BaseMeasure
 from .thermo import fixed_point
 
-_BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 states enumerated
+_BRUTE_FORCE_BITS = 24  # guard: m^n <= 2^24 words enumerated
+_BRUTE_FORCE_ROWS = 1 << 16  # words extended at once by the enumeration
 _SCALE_BLOCK = 32  # levels of the PSSS sweep between moves of t(root) into its log scale
 
 
@@ -159,31 +161,37 @@ def exact_count_x2(n: int) -> int:
 
 
 def brute_force_count(automaton: PrefixAutomaton, q: int, n: int) -> int:
-    """Enumerate all m^n words and count those whose chain restrictions are admissible.
+    """Count the length-n words whose chain restrictions are all admissible, by enumeration.
 
-    Independent oracle for the product-formula and series counts; guarded so
-    the enumeration stays within 2^24 words.
+    The words grow one position at a time in blocks, depth first, each with one
+    automaton state per chain, and drop out where a chain reads a forbidden
+    symbol. An oracle independent of the product-formula and series counts.
     """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
     if n < 1:
         raise ValidationError(f"n must be >= 1, got {n}")
-    m = automaton.m
-    if n * math.log(m) > _BRUTE_FORCE_BITS * math.log(2) + 1e-9:
+    if n * math.log(automaton.m) > _BRUTE_FORCE_BITS * math.log(2) + 1e-9:
         raise ValidationError(f"m^n too large to enumerate (guard: m^n <= 2^{_BRUTE_FORCE_BITS})")
-    table = np.array(automaton.transition_table())
-    sink = len(table)  # forbidden symbols lead to the sink, and the sink to itself
-    trans = np.vstack([np.where(table >= 0, table, sink), np.full(m, sink)]).astype(np.int16)
-    codes = np.arange(m**n, dtype=np.int32)
+    table = np.array(automaton.transition_table(), dtype=np.int16)
+    chains = lambda_partition(q, n)
+    column = np.empty(n + 1, dtype=np.int64)  # the chain of each position
+    for i, chain in enumerate(chains):
+        column[list(chain.elements)] = i
     init = automaton.state_index()[automaton.initial]
-    valid = np.ones(m**n, dtype=bool)
-    for chain in lambda_partition(q, n):
-        state = np.full(m**n, init, dtype=np.int16)
-        for pos in chain.elements:
-            sym = (codes // np.int32(m ** (n - pos))) % m
-            state = trans[state, sym]
-        valid &= state != sink
-    return int(valid.sum())
+    count, stack = 0, [(1, np.full((1, len(chains)), init, dtype=np.int16))]
+    while stack:
+        pos, states = stack.pop()
+        nxt = table[states[:, column[pos]]]  # every word extended by every symbol
+        rows, symbols = np.nonzero(nxt >= 0)
+        if pos == n:
+            count += len(rows)
+            continue
+        states = states[rows]
+        states[:, column[pos]] = nxt[rows, symbols]
+        for lo in range(0, len(states), _BRUTE_FORCE_ROWS):
+            stack.append((pos + 1, states[lo : lo + _BRUTE_FORCE_ROWS]))
+    return count
 
 
 def psss_solution(
@@ -249,23 +257,15 @@ def dims_report(
     tol: float = 1e-9,
 ) -> dict:
     """Hausdorff + box dimensions with the symmetry flag, as a plain dict."""
-    from .symbolic import spherically_symmetric
-
     if (q is None) == (spec is None):
         raise ValidationError("pass exactly one of q or a semigroup spec")
     if q is not None:
-        sol = kps_solution(automaton, q)
-        dim_h = sol.dimension
-        dim_b = kps_box(automaton, q, tol=tol)
-        residual = sol.residual
+        sol, dim_b = kps_solution(automaton, q), kps_box(automaton, q, tol=tol)
     else:
-        sol = psss_solution(automaton, spec)
-        dim_h = sol.dimension
-        dim_b = psss_box(automaton, spec, tol=tol)
-        residual = sol.residual
+        sol, dim_b = psss_solution(automaton, spec), psss_box(automaton, spec, tol=tol)
     return {
-        "dim_H": dim_h,
+        "dim_H": sol.dimension,
         "dim_B": dim_b,
         "symmetric": spherically_symmetric(automaton),
-        "residual": residual,
+        "residual": sol.residual,
     }

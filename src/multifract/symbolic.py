@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 
 Word = tuple[int, ...]
 
@@ -269,11 +269,11 @@ class PrefixAutomaton:
         except json.JSONDecodeError as e:
             raise ValidationError(f"invalid automaton JSON: {e}") from e
         try:
-            m = int(doc["alphabet"])
+            m = json_int(doc, "alphabet")
             states = tuple(str(s) for s in doc["states"])
             initial = str(doc["initial"])
             transitions = {
-                (str(t["from"]), int(t["symbol"])): str(t["to"]) for t in doc["transitions"]
+                (str(t["from"]), json_int(t, "symbol")): str(t["to"]) for t in doc["transitions"]
             }
         except (KeyError, TypeError) as e:
             raise ValidationError(f"malformed automaton document: {e}") from e

@@ -17,13 +17,26 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, json_int
 from .symbolic import check_word, lambda_partition, series_weights, transition_matrix
 
 if TYPE_CHECKING:  # thermo imports this module for BaseMeasure
     from .thermo import Potential
 
 _STOCHASTIC_TOL = 1e-12
+
+
+def markov_tree(m: int, order: int) -> np.ndarray:
+    """Child table of the r-step Markov prefix tree, r = order.
+
+    The states are the words of length < r, shortest first and by code from the
+    empty word at 0, then the m^r contexts. Word i emits j and moves to 1 + m i + j,
+    the word or context uj; a context moves to the context of its last r symbols.
+    """
+    words, n = (m**order - 1) // (m - 1), m**order
+    child = 1 + np.arange(words + n)[:, None] * m + np.arange(m)
+    child[words:] = words + (np.arange(n)[:, None] * m + np.arange(m)) % n
+    return child
 
 
 @dataclass(frozen=True)
@@ -72,10 +85,10 @@ class BaseMeasure:
 
         initial is the law of the first r symbols by base-m word code (for
         r = 0 the single entry 1.0), kernel the next-symbol law given the
-        last r symbols, shape (m^r, m). The states are the words of length
-        < r, shortest first and by code, from the empty word (the start 0),
-        then the m^r contexts. A short word u emits j with probability
-        P(uj) / P(u) under `initial`, or 1/m where P(u) = 0.
+        last r symbols, shape (m^r, m). The states are those of
+        :func:`markov_tree`, from the empty word (the start 0). A short word
+        u emits j with probability P(uj) / P(u) under `initial`, or 1/m
+        where P(u) = 0.
         """
         if m < 2:
             raise ValidationError(f"m must be >= 2, got {m}")
@@ -90,17 +103,13 @@ class BaseMeasure:
             raise ValidationError(f"kernel must have shape {(n, m)}, got {ker.shape}")
         if not (np.isfinite(pi).all() and np.all(pi >= 0) and abs(pi.sum() - 1.0) <= _STOCHASTIC_TOL):
             raise ValidationError(f"initial law must be finite, >= 0 and sum to 1, got sum {pi.sum()}")
-        # the words of length k are states (m^k - 1)/(m - 1) + code; u emits j and moves to uj
-        rows, child, den = [], [], np.ones(1)  # den: the law of the words of length k
+        rows, den = [], np.ones(1)  # den: the law of the words of length k
         for k in range(order):
             num = pi.reshape(m ** (k + 1), -1).sum(axis=1)
             with np.errstate(invalid="ignore", divide="ignore"):
                 rows.append(np.where(den[:, None] > 0, num.reshape(-1, m) / den[:, None], 1.0 / m))
-            child.append((m ** (k + 1) - 1) // (m - 1) + np.arange(m ** (k + 1)).reshape(-1, m))
             den = num
-        # a context moves to the context of its last r symbols
-        child.append((n - 1) // (m - 1) + (np.arange(n)[:, None] * m + np.arange(m)) % n)
-        return cls(kernel=np.vstack(rows + [ker]), child=np.vstack(child), start=0)
+        return cls(kernel=np.vstack(rows + [ker]), child=markov_tree(m, order), start=0)
 
     @classmethod
     def bernoulli(cls, probs: Sequence[float]) -> "BaseMeasure":
@@ -113,9 +122,7 @@ class BaseMeasure:
 
     @classmethod
     def point_mass(cls, m: int, symbol: int) -> "BaseMeasure":
-        p = np.zeros(m)
-        p[symbol] = 1.0
-        return cls.bernoulli(p)
+        return cls.bernoulli(np.eye(m)[symbol])
 
     @classmethod
     def from_markov_spec(cls, spec: "BaseMeasure") -> "BaseMeasure":
@@ -131,8 +138,8 @@ class BaseMeasure:
             raise ValidationError(f"invalid measure JSON: {e}") from e
         try:
             return cls.markov(
-                m=int(doc["m"]),
-                order=int(doc["order"]),
+                m=json_int(doc, "m"),
+                order=json_int(doc, "order"),
                 initial=np.asarray(doc["initial"], dtype=float),
                 kernel=np.asarray(doc["kernel"], dtype=float),
             )

@@ -8,6 +8,7 @@ formula. Dimensions are reported normalized to [0, 1].
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -16,21 +17,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, json_int
 from .symbolic import transition_matrix
-from .telescopic import BaseMeasure
+from .telescopic import BaseMeasure, markov_tree
 
 #: Returned by spectrum queries for levels whose level set is empty.
 OUT_OF_DOMAIN = float("nan")
 
-#: Ground-state gaps within this many half-ranges of the table are ties (argmax edges).
+#: Ground-state exponents within this many half-ranges of the table are ties (argmax edges).
 _TIE_TOL = 1e-12
 
 _FIXED_POINT_TOL = 1e-14
 _FIXED_POINT_CAP = 100_000
 
-#: Most elements S n (n + m) of one batched solve over S values of s on
-#: n = m^{d-1} codes: each stacked array (S, n, n) then takes at most 8 MB.
+#: Most elements S n (n + m) of one batched solve over S values of s on the
+#: n states of the Markov tree: each stacked array (S, n, n) then takes at most 8 MB.
 _STACK_ELEMENTS = 1 << 20
 
 
@@ -75,38 +76,41 @@ class Potential:
 
     @cached_property
     def _operator(self):
-        """(phi, child, shift, gap, drops, top), made on first use.
+        """(phi, child, shift, exponent, top) on the states of :func:`telescopic.markov_tree`.
 
-        phi is the table less shift as (m^{d-1}, m), child the shifted-child codes.
-        Max-plus ground states of phi (side 0) and -phi (side 1): q beta = max_j (phi
-        + beta[child]) by policy iteration, and beta_k(u) = max_j beta_{k+1}(uj) / q.
-        gap = phi + beta[child] - q beta (2, n, m), drops[k] = beta_k less its largest
-        sibling (2, m^k), top = max beta_1 (2,); gaps and drops are <= 0, and 0 on ties.
+        phi is 0 on the words and the table less shift on the contexts. Max-plus
+        ground states of phi (side 0) and -phi (side 1): q beta = max_j (phi +
+        beta[child]) by policy iteration on the contexts, max_j beta(uj) on the
+        words. exponent = phi + beta[child] - q beta (2, states, m), each edge's
+        gap on the contexts and each child's beta less its largest sibling on the
+        words; top = max_j beta(j) (2,). Exponents are <= 0, and 0 on ties.
         """
         m, q, d = self.m, self.q, self.d
         shift = 0.5 * (self.alpha_min + self.alpha_max)
-        phi = self.table.reshape(m ** (d - 1), m) - shift
-        # (a_1..a_{d-1}) -> code of (a_2..a_{d-1}, j): drop leading digit, append j
-        child = (np.arange(m ** (d - 1)) % m ** (d - 2) * m)[:, None] + np.arange(m)
-        sides, rows, signed = np.arange(2)[:, None], np.arange(len(child)), np.stack([phi, -phi])
+        child = markov_tree(m, d - 1)
+        words = len(child) - m ** (d - 1)
+        phi = np.vstack([np.zeros((words, m)), self.table.reshape(-1, m) - shift])
+        codes = child[words:] - words  # the contexts close among themselves
+        sides, rows, signed = np.arange(2)[:, None], np.arange(len(codes)), np.stack([phi, -phi])[:, words:]
         tol, policy = _TIE_TOL * 0.5 * (self.alpha_max - self.alpha_min), signed.argmax(axis=2)
         while True:  # each row moves to an edge that beats its own by more than tol
-            system = np.repeat(q * np.eye(len(child))[None], 2, axis=0)
-            system[sides, rows, child[rows, policy]] -= 1.0
+            system = np.repeat(q * np.eye(len(codes))[None], 2, axis=0)
+            system[sides, rows, codes[rows, policy]] -= 1.0
             beta = np.linalg.solve(system, signed[sides, rows, policy][:, :, None])[:, :, 0]
-            value = signed + beta[:, child]
+            value = signed + beta[:, codes]
             better = value.max(axis=2) > value[sides, rows, policy] + tol
             if not better.any():
                 break
             policy = np.where(better, value.argmax(axis=2), policy)
-        gap, drops = value - q * beta[:, :, None], {}
-        for k in range(d - 1, 0, -1):
+        exponent = [value - q * beta[:, :, None]]
+        for _ in range(d - 1):  # up the words, deepest first
             blocks = beta.reshape(2, -1, m)
             top = blocks.max(axis=2)
-            drops[k], beta = (blocks - top[:, :, None]).reshape(2, -1), top / q
-        for x in (gap, *drops.values()):
-            x[x >= -tol] = 0.0
-        return phi, child, shift, gap, drops, top[:, 0]
+            exponent.insert(0, blocks - top[:, :, None])
+            beta = top / q
+        exponent = np.concatenate(exponent, axis=1)
+        exponent[exponent >= -tol] = 0.0
+        return phi, child, shift, exponent, top[:, 0]
 
     @property
     def is_constant(self) -> bool:
@@ -116,8 +120,7 @@ class Potential:
     def from_values(cls, m: int, q: int, d: int, values) -> "Potential":
         """Build from a dict {symbol tuple: value} or an array."""
         if isinstance(values, dict):
-            table = np.empty((m,) * d)
-            table.fill(np.nan)
+            table = np.full((m,) * d, np.nan)
             for key, val in values.items():
                 table[tuple(key)] = val
             if np.isnan(table).any():
@@ -133,7 +136,7 @@ class Potential:
         except json.JSONDecodeError as e:
             raise ValidationError(f"invalid potential JSON: {e}") from e
         try:
-            m, q, d = int(doc["m"]), int(doc["q"]), int(doc["d"])
+            m, q, d = (json_int(doc, key) for key in "mqd")
             entries = doc["table"]
         except (KeyError, TypeError) as e:
             raise ValidationError(f"malformed potential document: {e}") from e
@@ -159,41 +162,33 @@ class Potential:
         return json.dumps({"m": self.m, "q": self.q, "d": self.d, "table": entries})
 
 
+def _binary_product(q: int, d: int, factor: list[float]) -> Potential:
+    """The product of factor[x] over the d symbols of a tuple, on the binary alphabet."""
+    return Potential(m=2, q=q, d=d, table=functools.reduce(np.multiply.outer, [factor] * d, 1.0))
+
+
 def rademacher_potential(q: int, d: int) -> Potential:
     """Tensor product of 2a-1 factors on the binary alphabet."""
-    table = np.ones((2,) * d)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = 2
-        table = table * np.array([-1.0, 1.0]).reshape(shape)
-    return Potential(m=2, q=q, d=d, table=table)
+    return _binary_product(q, d, [-1.0, 1.0])
 
 
 def indicator_potential(q: int, d: int) -> Potential:
     """Product of the symbols themselves on the binary alphabet (x_k * x_{qk} * ...)."""
-    table = np.ones((2,) * d)
-    for axis in range(d):
-        shape = [1] * d
-        shape[axis] = 2
-        table = table * np.array([0.0, 1.0]).reshape(shape)
-    return Potential(m=2, q=q, d=d, table=table)
+    return _binary_product(q, d, [0.0, 1.0])
 
 
 @dataclass(frozen=True)
 class PsiSolution:
-    """Level functions psi^(k) on A^k for k = 1..d-1 at parameter s, as block laws.
+    """The fixed point psi^q = W psi at s on the Markov tree of `Potential._operator`.
 
-    levels[k] is a flat array of length m^k indexed by the base-m code of the
-    word a_1..a_k (a_1 most significant): psi^(k) over its sum on the block
-    a_1..a_{k-1} j, j in A. `kernel` is the stochastic kernel K = W psi[child]
-    / psi^q on level d-1 and `tangent` the tangent g = d log psi / ds on that
-    level; `pressure` and `derivative` are P(s), P'(s). P''(s) is not stored:
-    :func:`pressure_second_derivative` builds it from `kernel` and `tangent`
-    for the slope solver, so a forward solve pays for no second linear system.
+    `kernel` is K = W psi[child] / psi^q on every state (on the words, the
+    block laws of psi^(k) on A^k), `tangent` is g = d log psi / ds, and
+    `pressure`, `derivative` are P(s), P'(s). :func:`pressure_second_derivative`
+    builds P''(s) from `kernel` and `tangent`, so a forward solve pays for no
+    second linear system.
     """
 
     s: float
-    levels: dict[int, np.ndarray]
     kernel: np.ndarray
     tangent: np.ndarray
     residual: float
@@ -273,53 +268,64 @@ def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str | n
 
 
 def _tangent_matrix(kernel: np.ndarray, child: np.ndarray, q: float) -> np.ndarray:
-    """I - K/q over level d-1 codes (one per leading index of `kernel`): the tangent matrix."""
+    """I - K/q over the states of `child` (one per leading index of `kernel`): the tangent matrix."""
     return np.eye(len(child)) - transition_matrix(kernel / q, child)
 
 
-def _solve_stack(potential: Potential, s: np.ndarray):
-    """One :func:`fixed_point` call for every s of the 1-D array `s`, with P(s) and exact P'(s).
+def _tree_fixed_point(potential: Potential, weights: np.ndarray, where: str | np.ndarray):
+    """(psi, residual, iterations) of S systems psi^q = W psi on the tree, weights (S, N, m).
 
-    Returns (levels, kernel, tangent, residual, iterations, pressure,
-    derivative), each with a leading axis over s: levels[k] is (S, m^k),
-    kernel (S, m^{d-1}, m) and tangent (S, m^{d-1}). See :func:`solve_psi`.
+    One :func:`fixed_point` call solves the contexts, which close among
+    themselves; then each word level takes one :func:`operator_step`, S on a trailing axis.
+    """
+    m, child = potential.m, potential._operator[1]
+    words = len(child) - m ** (potential.d - 1)
+    flat = weights[:, words:].reshape(-1, m)
+    contexts, residual, iterations = fixed_point(flat, child[words:] - words, potential.q, where)
+    psi, stacked = np.empty((len(child), len(weights))), weights.transpose(1, 2, 0)
+    psi[words:] = contexts.reshape(-1, len(child) - words).T
+    hi = words
+    while hi:  # the words lo..hi-1 of one length, whose children are 1 + m lo .. m hi
+        lo = (hi - 1) // m
+        psi[lo:hi] = operator_step(stacked[lo:hi], child[lo:hi], psi, potential.q)
+        hi = lo
+    return psi.T, residual, iterations
+
+
+def _solve_stack(potential: Potential, s: np.ndarray):
+    """One :func:`_tree_fixed_point` call for every s of the 1-D array `s`, with P(s) and exact P'(s).
+
+    Returns (kernel, tangent, residual, iterations, pressure, derivative),
+    each with a leading axis over s. See :func:`solve_psi`.
     """
     bad = ~np.isfinite(s)
     if bad.any():
         raise ValidationError(f"s must be finite, got {float(s[bad][0])}")
-    m, q, d = potential.m, potential.q, potential.d
-    phi, child, shift, gap, drops, top = potential._operator
+    q, d = potential.q, potential.d
+    phi, child, shift, exponent, top = potential._operator
     side, size = (s < 0).astype(int), np.abs(s)[:, None]
-    weights = np.exp(size[:, :, None] * gap[side])
-    chi, residual, iterations = fixed_point(weights.reshape(-1, m), child, q, s)
-    chi = chi.reshape(len(s), len(child))
+    weights = np.exp(size[:, :, None] * exponent[side])
+    chi, residual, iterations = _tree_fixed_point(potential, weights, s)
     kernel = weights * chi[:, child] / (chi**q)[:, :, None]
     rhs = (kernel * phi).sum(axis=2) / q
     tangent = np.linalg.solve(_tangent_matrix(kernel, child, q), rhs[:, :, None])[:, :, 0]
-    g, levels = tangent, {}
-    for k in range(d - 2, -1, -1):
-        # psi_{k+1} over each block, in units of e^{|s| q beta_k} of the block's word
-        upper = (np.exp(size * drops[k + 1][side]) * chi).reshape(len(s), m**k, m)
-        total = upper.sum(axis=2)
-        levels[k + 1] = (upper / total[:, :, None]).reshape(len(s), m ** (k + 1))
-        g = (levels[k + 1] * g).reshape(len(s), m**k, m).sum(axis=2) / q
-        chi = total ** (1.0 / q)
     scale = (q - 1) * q ** (d - 2)
-    # math.log, not np.log, whose vectorized path may round the last bit differently
-    logs = np.array([math.log(t) for t in total[:, 0]])
+    # psi^q at the root in units of e^{|s| top}: the root's sum; math.log, not
+    # np.log, whose vectorized path may round the last bit differently
+    logs = np.array([math.log(t) for t in (weights[:, 0] * chi[:, child[0]]).sum(axis=1)])
     pressure = scale * (size[:, 0] * top[side] + logs) + s * shift
-    return levels, kernel, tangent, residual, iterations, pressure, scale * q * g[:, 0] + shift
+    return kernel, tangent, residual, iterations, pressure, scale * q * tangent[:, 0] + shift
 
 
 def _pressure_stack(potential: Potential, s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """P(s) and P'(s) at every s of the 1-D array `s`, one :func:`_solve_stack` per chunk of s.
 
     A chunk holds at most _STACK_ELEMENTS // (n (n + m)) values of s, with
-    n = m^{d-1}, so the stacked tangent matrices (S, n, n) and weights (S n, m)
-    stay within a fixed budget however long the grid is. Rows do not depend
-    on their chunk.
+    n the tree's states, so the stacked tangent matrices (S, n, n) and weights
+    (S, n, m) stay within a fixed budget however long the grid is. Rows do not
+    depend on their chunk.
     """
-    n = potential.m ** (potential.d - 1)
+    n = len(potential._operator[1])
     size = max(1, _STACK_ELEMENTS // (n * (n + potential.m)))
     chunks = np.array_split(s, max(1, -(-len(s) // size)))
     parts = [_solve_stack(potential, chunk)[-2:] for chunk in chunks]
@@ -335,17 +341,16 @@ def solve_psi(potential: Potential, s: float) -> PsiSolution:
     rescales by kappa = exp(-s c / (q-1)), which shifts the raw pressure by
     exactly -s c, so P gets s c back and P' gets c. It iterates chi = psi e^{-|s| beta}
     from chi = 1, beta the ground state of s phi / |s| (`Potential._operator`):
-    its weights exp(|s| gap) lie in [0, 1] at any s. Differentiating the fixed
+    its weights exp(|s| exponent) lie in [0, 1] at any s. Differentiating the fixed
     point, g = d log psi / ds solves the linear system g = K (phi + g[child]) / q
-    with K the stochastic kernel (I - K/q is invertible as K/q has norm 1/q);
-    g is then carried up the levels with psi.
+    over every state of the tree, words and contexts alike, with K the
+    stochastic kernel (I - K/q is invertible as K/q has norm 1/q); P' is
+    (q-1) q^{d-1} g at the root, plus c.
     """
-    levels, kernel, tangent, residual, iterations, P, dP = _solve_stack(
-        potential, np.array([s], dtype=float)
-    )
+    kernel, tangent, residual, iterations, P, dP = _solve_stack(potential, np.array([s], dtype=float))
     return PsiSolution(
-        s, {k: level[0] for k, level in levels.items()}, kernel[0], tangent[0],
-        float(residual[0]), int(iterations[0]), pressure=float(P[0]), derivative=float(dP[0]),
+        s, kernel[0], tangent[0], float(residual[0]), int(iterations[0]),
+        pressure=float(P[0]), derivative=float(dP[0]),
     )
 
 
@@ -378,27 +383,17 @@ def pressure_second_derivative(potential: Potential, sol: PsiSolution) -> float:
     """P''(s) at the solution `sol`, exact, at the cost of one more linear solve.
 
     Differentiating the tangent system g = K (phi + g[child]) / q once more,
-    h = d^2 log psi / ds^2 solves (I - K/q) h = Var_K(phi + g[child]) / q,
-    the variance taken per row u under K[u]; the variance is formed as a sum
-    of squares, so h and P'' are >= 0 up to the solve's rounding. Up the
-    levels h_k = (E_w[h_{k+1}] + Var_w[g_{k+1}]) / q with w the block law
-    `levels[k+1]`, and P'' = (q-1) q^{d-2} (E_w[h_1] + Var_w[g_1]).
+    h = d^2 log psi / ds^2 solves (I - K/q) h = Var_K(phi + g[child]) / q on
+    the tree, and P'' = (q-1) q^{d-1} h at the root. Each row's variance is a
+    sum of squares about K's normalised row mean of the same values, so P''
+    is >= 0 up to rounding and keeps its relative accuracy where K saturates.
     """
-    m, q, d = potential.m, potential.q, potential.d
+    q, d, kernel = potential.q, potential.d, sol.kernel
     phi, child, *_ = potential._operator
-    g = sol.tangent
-    spread = phi + g[child] - q * g[:, None]
-    h = np.linalg.solve(
-        _tangent_matrix(sol.kernel, child, q), (sol.kernel * spread**2).sum(axis=1) / q
-    )
-    # level 0 is psi_0^q = sum_j psi_1(j): one block, and P = (q-1) q^{d-1} log psi_0
-    for k in range(d - 2, -1, -1):
-        w = sol.levels[k + 1].reshape(m**k, m)
-        g = g.reshape(m**k, m)
-        mean = (w * g).sum(axis=1)
-        var = (w * (g - mean[:, None]) ** 2).sum(axis=1)
-        h = ((w * h.reshape(m**k, m)).sum(axis=1) + var) / q
-        g = mean / q
+    x = phi + sol.tangent[child]
+    mean = (kernel * x).sum(axis=1) / kernel.sum(axis=1)
+    spread = (kernel * (x - mean[:, None]) ** 2).sum(axis=1)
+    h = np.linalg.solve(_tangent_matrix(kernel, child, q), spread / q)
     return (q - 1) * q ** (d - 1) * float(h[0])
 
 
@@ -409,7 +404,7 @@ def level_domain(potential: Potential) -> tuple[float, float]:
     - (q-1) q^{d-2} top(-phi) and shift + (q-1) q^{d-2} top(phi), clipped to
     [min phi, max phi] against rounding.
     """
-    q, (_, _, shift, _, _, top) = potential.q, potential._operator
+    q, (_, _, shift, _, top) = potential.q, potential._operator
     hi, lo = shift + (q - 1) * q ** (potential.d - 2) * top * [1, -1]
     return max(potential.alpha_min, float(lo)), min(potential.alpha_max, float(hi))
 
@@ -482,8 +477,8 @@ def legendre_spectrum(potential: Potential, alpha: float) -> float:
 
     NaN (the out-of-domain marker) outside :func:`level_domain`, where no
     level set exists; s_a from :func:`solve_pressure_slope` inside. Within
-    _TIE_TOL half-ranges of an end, the s -> +/-inf limit: exp(|s| gap) and
-    exp(|s| drop) become 0/1, so it is :func:`fixed_point` on the argmax edges.
+    _TIE_TOL half-ranges of an end, the s -> +/-inf limit: exp(|s| exponent)
+    becomes 0/1, so it is the tree's fixed point on the argmax edges.
     """
     m, q, d = potential.m, potential.q, potential.d
     if potential.is_constant:
@@ -493,12 +488,10 @@ def legendre_spectrum(potential: Potential, alpha: float) -> float:
     if not lo - tol <= alpha <= hi + tol:
         return OUT_OF_DOMAIN
     if alpha >= hi - tol or alpha <= lo + tol:
-        _, child, _, gap, drops, _ = potential._operator
         side = int(alpha < hi - tol)  # 0 at alpha_max, 1 at alpha_min
-        chi = fixed_point((gap[side] == 0).astype(float), child, q, "on the argmax edges")[0]
-        for k in range(d - 1, 0, -1):
-            chi = ((drops[k][side] == 0) * chi).reshape(-1, m).sum(axis=1) ** (1.0 / q)
-        return (q - 1) * math.log(chi[0]) / math.log(m)  # as kps_hausdorff, at the root
+        edges = (potential._operator[3][side] == 0).astype(float)
+        chi = _tree_fixed_point(potential, edges[None], "on the argmax edges")[0]
+        return (q - 1) * math.log(chi[0, 0]) / math.log(m)  # as kps_hausdorff, at the root
     s_alpha = solve_pressure_slope(potential, alpha)
     if s_alpha is None:
         return OUT_OF_DOMAIN
@@ -513,49 +506,33 @@ def ruelle_dimension(potential: Potential, s: float) -> float:
 
 
 def markov_measure(potential: Potential, s: float) -> BaseMeasure:
-    """The (d-1)-step Markov law (pi_s, Q_s) defined by the fixed point at s, as a source."""
-    m, d = potential.m, potential.d
-    sol = solve_psi(potential, s)
-    # initial law pi([a_1..a_{d-1}]) = prod_j psi(a_1..a_j) / psi(a_1..a_{j-1})^q,
-    # with psi(empty)^q = sum_j psi(j): the product of the block laws `levels`
-    order = d - 1
-    pi = np.ones(m**order)
-    for k in range(1, order + 1):
-        pi *= np.repeat(sol.levels[k], m ** (order - k))
-    # transition kernel from context (a_1..a_{d-1}) to appended symbol j;
-    # both pi and the kernel are invariant under the internal centering shift
-    return BaseMeasure.markov(m=m, order=order, initial=pi, kernel=sol.kernel)
+    """The (d-1)-step Markov law of the fixed point at s: the solve's own kernel, as a source.
+
+    It is read from the root of the Markov tree and does not see the centering shift.
+    """
+    return BaseMeasure(solve_psi(potential, s).kernel, potential._operator[1], 0)
 
 
 @dataclass(frozen=True)
 class PressureCurve:
-    """Sampled (s, P, P', alpha, dim) records along an s-grid."""
+    """Sampled (s, P, P', alpha = P', dim) records along an s-grid."""
 
     s: np.ndarray
     P: np.ndarray
     dP: np.ndarray
     dim: np.ndarray
 
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.dP
-
     def rows(self) -> Iterable[tuple[float, float, float, float, float]]:
-        for i in range(len(self.s)):
-            yield (
-                float(self.s[i]),
-                float(self.P[i]),
-                float(self.dP[i]),
-                float(self.dP[i]),
-                float(self.dim[i]),
-            )
+        for row in zip(self.s, self.P, self.dP, self.dP, self.dim):
+            yield tuple(map(float, row))
 
 
 def pressure_curve(potential: Potential, s_grid) -> PressureCurve:
     """P, P' and the dimension at every s of a 1-D grid.
 
     The whole grid is one batched solve unless n (n + m) times its length,
-    n = m^{d-1}, exceeds _STACK_ELEMENTS; longer grids go in chunks.
+    n the states of the Markov tree, exceeds _STACK_ELEMENTS; longer grids
+    go in chunks.
     """
     s_grid = np.asarray(s_grid, dtype=float)
     P, dP = _pressure_stack(potential, s_grid)

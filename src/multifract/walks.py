@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from . import riesz
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, json_int
 from .symbolic import transition_matrix
 from .telescopic import BaseMeasure
 from .thermo import _GRAD_TOL, newton_slope
@@ -115,7 +115,7 @@ class WalkSystem:
             raise ValidationError(f"invalid walk-system JSON: {e}") from e
         try:
             return cls(
-                p=int(doc["p"]),
+                p=json_int(doc, "p"),
                 tau=np.asarray(doc["tau"], dtype=float),
                 v=np.asarray(doc["v"], dtype=float),
                 steps=tuple(doc["A"]),

@@ -137,6 +137,12 @@ class TestDimsCommand:
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: tol"), err
 
+    def test_bad_semigroup_is_config_error(self, fib_file, capfd):
+        # int("x") once ended in a ValueError traceback with exit 1
+        assert run(["dims", "--config", fib_file, "--semigroup", "2,x"]) == cli.EXIT_CONFIG
+        err = capfd.readouterr().err
+        assert err == "error: --semigroup must be comma-separated ints, got '2,x'\n"
+
     @pytest.mark.filterwarnings("error")
     def test_four_primes_write_strict_json(self, fib_file, capsys):
         # NaN and Infinity are not JSON: parse_constant is called only for them
@@ -171,6 +177,11 @@ class TestWalkCommand:
         assert run(["walk", "--system", "case1", "--grid=nan:1:3"]) == cli.EXIT_CONFIG
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:"), err
+
+    def test_bad_alpha_is_config_error(self, capfd):
+        # float("x") once ended in a ValueError traceback with exit 1
+        assert run(["walk", "--system", "case1", "--alpha", "x"]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err == "error: --alpha must be comma-separated floats, got 'x'\n"
 
     def test_wrong_alpha_arity(self):
         assert run(["walk", "--system", "case2", "--alpha", "0.5"]) == cli.EXIT_CONFIG
@@ -222,6 +233,29 @@ class TestWalkCommand:
         assert run(["walk", "--system", str(system), "--grid=0:50:2"]) == cli.EXIT_NUMERIC
         err = capfd.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and "s=[50.0]" in err[0], err
+
+
+# each loader once truncated a non-integer field with int(): "p": 2.7 read as 2
+NON_INTEGER_CONFIGS = {
+    "spectrum": ("--config", {"m": 2, "q": 2.9, "d": 2, "table": {"00": 0, "01": 1, "10": 1, "11": 0}},
+                 "q", ["--grid=-1:1:3"]),
+    "dims": ("--config", {"alphabet": 2.5, "states": ["a"], "initial": "a",
+                          "transitions": [{"from": "a", "symbol": 0, "to": "a"}]}, "alphabet", ["--q", "2"]),
+    "walk": ("--system", {"p": 2.7, "tau": [[-1]], "v": [1], "A": [0, 1]}, "p", ["--alpha", "0.3"]),
+    "sample": ("--measure", {"m": 2, "order": 1.5, "initial": [0.5, 0.5], "kernel": [[0.5, 0.5]] * 2},
+               "order", []),
+}
+
+
+@pytest.mark.parametrize("command", sorted(NON_INTEGER_CONFIGS))
+def test_non_integer_config_field_is_config_error(tmp_path, capfd, command):
+    flag, doc, field, rest = NON_INTEGER_CONFIGS[command]
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, flag, str(path), *rest]) == cli.EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {field} must be an integer, got {doc[field]!r}\n"
 
 
 class TestSampleAndRiesz:

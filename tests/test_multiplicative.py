@@ -160,6 +160,18 @@ class TestBoxCounting:
         with pytest.raises(ValidationError):
             multiplicative.brute_force_count(aut, 2, 40)
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("name", sorted(DIMS_AUTOMATA))
+    def test_brute_force_matches_chain_product(self, name, q):
+        # the chains are independent, so the count is the product over the
+        # chains of the prefix counts of their lengths; the oracle uses neither
+        aut = DIMS_AUTOMATA[name]()
+        top = min(20, int(24 * LOG2 / math.log(aut.m) + 1e-9))  # every n the guard allows
+        counts = symbolic.prefix_counts_up_to(aut, top)
+        for n in range(1, top + 1):
+            want = math.prod(counts[len(chain)] for chain in symbolic.lambda_partition(q, n))
+            assert multiplicative.brute_force_count(aut, q, n) == want, n
+
     @given(n=st.integers(1, 14))
     @settings(max_examples=14, deadline=None)
     def test_brute_force_full_shift(self, n):

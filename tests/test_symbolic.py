@@ -116,6 +116,17 @@ class TestPrefixAutomaton:
         with pytest.raises(ValidationError):
             symbolic.PrefixAutomaton.from_json(json.dumps(doc))
 
+    @pytest.mark.parametrize("field, value", [("alphabet", 2.5), ("symbol", 0.9), ("symbol", "0")])
+    def test_rejects_non_integer_fields(self, field, value):
+        # int() once read the alphabet 2.5 as 2 and the symbol 0.9 as 0
+        doc = json.loads(symbolic.fibonacci_automaton().to_json())
+        (doc["transitions"][0] if field == "symbol" else doc)[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value!r}"):
+            symbolic.PrefixAutomaton.from_json(json.dumps(doc))
+        doc = json.loads(symbolic.fibonacci_automaton().to_json())
+        doc["alphabet"] = 2.0
+        assert symbolic.PrefixAutomaton.from_json(json.dumps(doc)).m == 2
+
     def test_spherical_symmetry(self):
         assert symbolic.spherically_symmetric(symbolic.full_shift(2)) is True
         assert symbolic.spherically_symmetric(symbolic.single_point(2)) is True

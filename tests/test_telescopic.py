@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -58,10 +59,10 @@ class TestBaseMeasure:
         sol = thermo.solve_psi(potential, 0.9)
         base = telescopic.BaseMeasure.from_markov_spec(thermo.markov_measure(potential, 0.9))
         word = (1, 0, 1, 1)
-        want = sol.levels[1][1]
-        ctx = 1
+        want = sol.kernel[0, 1]  # the root row, then the contexts after the one word
+        words, ctx = 1, 1
         for a in word[1:]:
-            want *= sol.kernel[ctx, a]
+            want *= sol.kernel[words + ctx, a]
             ctx = a
         assert base.word_mass(word) == pytest.approx(want, abs=1e-15)
 
@@ -78,6 +79,15 @@ class TestBaseMeasure:
         assert np.array_equal(again.kernel, base.kernel)
         assert np.array_equal(again.child, base.child)
         assert again.start == base.start
+
+    @pytest.mark.parametrize("field, value", [("m", 2.9), ("order", 1.5)])
+    def test_from_json_rejects_non_integer_fields(self, field, value):
+        # int() once read m = 2.9, order = 1.5 as an order-1 law on 2 symbols
+        doc = {"m": 2, "order": 1, "initial": [0.5, 0.5], "kernel": [[0.5, 0.5]] * 2, field: value}
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            telescopic.BaseMeasure.from_json(json.dumps(doc))
+        doc[field] = float(int(value))  # a whole number written as a float is that integer
+        assert telescopic.BaseMeasure.from_json(json.dumps(doc)).m == 2
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValidationError):

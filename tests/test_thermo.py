@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -70,6 +71,14 @@ class TestPotential:
         assert np.array_equal(again.table, phi.table)
         assert (again.m, again.q, again.d) == (phi.m, phi.q, phi.d)
 
+    @pytest.mark.parametrize("field, value", [("m", 2.5), ("q", 2.9), ("d", 2.2)])
+    def test_from_json_rejects_non_integer_fields(self, field, value):
+        # int() once read (2.5, 2.9, 2.2) as (2, 2, 2)
+        doc = json.loads(thermo.indicator_potential(2, 2).to_json())
+        doc[field] = value
+        with pytest.raises(ValidationError, match=f"{field} must be an integer, got {value}"):
+            thermo.Potential.from_json(json.dumps(doc))
+
     def test_table_is_a_read_only_copy(self):
         # the operator data are made once per potential, so the table cannot change
         values = np.zeros((2, 2))
@@ -124,15 +133,20 @@ class TestPressure:
             curvature = thermo.pressure_second_derivative(phi, thermo.solve_psi(phi, s))
             assert curvature == pytest.approx(1.0 / math.cosh(s) ** 2, abs=1e-13)
 
-    @pytest.mark.parametrize("s", [-40.0, -10.0, 10.0, 40.0])
-    def test_closed_form_to_fifty_digits(self, s):
-        # log(2 cosh s) + log 2, tanh s and sech^2 s in 50-digit arithmetic; the
-        # unnormalised operator made P''(+/-40) 3.2e-28 against 7.2e-35
-        phi = thermo.rademacher_potential(2, 2)
+    @pytest.mark.parametrize("s, q", [
+        pytest.param(s, q, id=str(s) if q == 2 else f"{s}-q{q}") for q in (2, 3) for s in (-40.0, -10.0, 10.0, 40.0)
+    ])
+    def test_closed_form_to_fifty_digits(self, s, q):
+        # (q-1) log 2 + log(2 cosh s), tanh s and sech^2 s in 50-digit arithmetic;
+        # the unnormalised operator made P''(+/-40) 3.2e-28 against 7.2e-35, and
+        # centring the variance on q g rather than on K's own row mean made
+        # P''(40) 4.9e-32 at q = 3
+        phi = thermo.rademacher_potential(q, 2)
         sol = thermo.solve_psi(phi, s)
         with mpmath.workdps(50):
             x = mpmath.mpf(s)
-            assert sol.pressure == pytest.approx(float(mpmath.log(4 * mpmath.cosh(x))), rel=1e-12)
+            want = (q - 1) * mpmath.log(2) + mpmath.log(2 * mpmath.cosh(x))
+            assert sol.pressure == pytest.approx(float(want), rel=1e-12)
             assert sol.derivative == pytest.approx(float(mpmath.tanh(x)), rel=1e-12)
             curvature = float(mpmath.sech(x) ** 2)
         assert thermo.pressure_second_derivative(phi, sol) == pytest.approx(

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -60,6 +61,13 @@ class TestWalkSystem:
             walks.WalkSystem.from_json('{"p": 2, "tau": [[-1]], "v": [1], "A": [0, 1.5]}')
         system = walks.WalkSystem.from_json('{"p": 2, "tau": [[-1]], "v": [1], "A": [0, 1.0]}')
         assert system.steps == (0, 1)
+
+    @pytest.mark.parametrize("p", [2.7, "2", True])
+    def test_from_json_rejects_non_integer_order(self, p):
+        # int() once read the order 2.7 as 2
+        text = json.dumps({"p": p, "tau": [[-1]], "v": [1], "A": [0, 1]})
+        with pytest.raises(ValidationError, match=f"p must be an integer, got {p!r}"):
+            walks.WalkSystem.from_json(text)
 
     def test_order3_rotation(self):
         tau = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
