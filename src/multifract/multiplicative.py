@@ -67,9 +67,13 @@ class PsssSolution:
 def kps_solution(automaton: PrefixAutomaton, q: int) -> KpsSolution:
     """Solve t(state)^q = sum over enabled symbols of t(next state), from t = 1.
 
-    The iteration t <- (sum of children)^(1/q) is monotone from the
-    sub-solution t = 1 and bounded by m^(1/(q-1)), so it converges to the
-    unique fixed point in that box.
+    :func:`thermo.fixed_point` with chi = t: Newton on log chi, monotone
+    from chi = 1, so every iterate after the first is a sub-solution below
+    the unique fixed point in [1, m^(1/(q-1))], and |log t - log t*| <=
+    q/(q-1) times the last step in the sup norm. Automata of more than
+    `thermo._NEWTON_STATES` states, past the crossover where the n x n
+    solves cost more than they save, take the plain step t <- (sum of
+    children)^(1/q), also monotone from t = 1.
     """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multifract import cli, multiplicative, symbolic, telescopic
+from multifract import cli, multiplicative, symbolic, telescopic, thermo
 from multifract.errors import ConvergenceError, ValidationError
 
 LOG2 = math.log(2)
@@ -32,26 +33,27 @@ DIMS_MODES = {
     "2,3,5": {"spec": symbolic.SemigroupSpec((2, 3, 5))},
 }
 # (dim_H, dim_B, residual) of dims_report at its default tol, recorded at
-# 41ed9d0, before the PSSS sweep moved to the dense matrix with a log scale
+# 41ed9d0, before the PSSS sweep moved to the dense matrix with a log scale;
+# the q rows since the KPS fixed point takes Newton steps
 DIMS_PINS = {
-    ("fibonacci", "q=2"): (0.8113704627516395, 0.8242936053344875, 6.57955803882148e-15),
-    ("fibonacci", "q=3"): (0.8632823612520767, 0.8766070386703617, 6.74974148163066e-15),
+    ("fibonacci", "q=2"): (0.811370462751649, 0.8242936053344875, 0.0),
+    ("fibonacci", "q=3"): (0.8632823612520861, 0.8766070386703617, 1.6462784101538142e-16),
     ("fibonacci", "2,3"): (0.7725311888478188, 0.7816193183663609, 6.7014904725601785e-12),
     ("fibonacci", "2,3,5"): (0.7568078275538389, 0.7641744872432212, 9.090537967976882e-12),
-    ("forbid111", "q=2"): (0.9566513117545983, 0.9617888968860957, 8.46625226835462e-15),
-    ("forbid111", "q=3"): (0.9781671887851587, 0.9816307007915193, 8.859300241801813e-15),
+    ("forbid111", "q=2"): (0.9566513117546106, 0.9617888968860957, 0.0),
+    ("forbid111", "q=3"): (0.9781671887851705, 0.9816307007915193, 7.910089501608729e-16),
     ("forbid111", "2,3"): (0.9286729575885525, 0.9329094407488481, 6.7014904725601785e-12),
     ("forbid111", "2,3,5"): (0.9186537645727363, 0.9221564922325137, 9.090537967976882e-12),
-    ("even_ones", "q=2"): (0.8113704627516395, 0.8242936053344875, 6.57955803882148e-15),
-    ("even_ones", "q=3"): (0.8632823612520767, 0.8766070386703617, 6.74974148163066e-15),
+    ("even_ones", "q=2"): (0.811370462751649, 0.8242936053344875, 0.0),
+    ("even_ones", "q=3"): (0.8632823612520861, 0.8766070386703617, 1.6462784101538142e-16),
     ("even_ones", "2,3"): (0.7725311888478188, 0.7816193183663609, 6.7014904725601785e-12),
     ("even_ones", "2,3,5"): (0.7568078275538389, 0.7641744872432212, 9.090537967976882e-12),
-    ("two_regular_ternary", "q=2"): (0.6309297535714483, 0.6309297532317516, 9.880984919163991e-15),
-    ("two_regular_ternary", "q=3"): (0.6309297535714543, 0.6309297532564723, 3.454203409104311e-15),
+    ("two_regular_ternary", "q=2"): (0.6309297535714574, 0.6309297532317516, 2.220446049250313e-16),
+    ("two_regular_ternary", "q=3"): (0.6309297535714573, 0.6309297532564723, 1.5700924586837752e-16),
     ("two_regular_ternary", "2,3"): (0.6309297535705797, 0.6309297529582508, 6.7014904725601785e-12),
     ("two_regular_ternary", "2,3,5"): (0.6309297535702669, 0.6309297529424827, 9.090537967976882e-12),
-    ("full_shift3", "q=2"): (0.9999999999999927, 0.9999999994615791, 7.697546304067813e-15),
-    ("full_shift3", "q=3"): (0.9999999999999949, 0.9999999995007604, 5.256098009448423e-15),
+    ("full_shift3", "q=2"): (0.9999999999999998, 0.9999999994615791, 0.0),
+    ("full_shift3", "q=3"): (0.9999999999999998, 0.9999999995007604, 1.2819751242557095e-16),
     ("full_shift3", "2,3"): (0.9999999999966489, 0.9999999990280907, 6.7014904725601785e-12),
     ("full_shift3", "2,3,5"): (0.9999999999954544, 0.9999999990030985, 9.090537967976882e-12),
 }
@@ -67,6 +69,21 @@ def six_automata():
         symbolic.full_shift(3),
         symbolic.full_shift(2),
     )
+
+
+def mp_kps_dimension(automaton: symbolic.PrefixAutomaton, q: int) -> mpmath.mpf:
+    """(q-1) log_m t(root), t^q = sum of the children iterated in 60-digit arithmetic from t = 1."""
+    with mpmath.workdps(60):
+        table = automaton.transition_table()
+        t = [mpmath.mpf(1)] * len(table)
+        while True:
+            image = [mpmath.root(mpmath.fsum(t[c] for c in row if c >= 0), q) for row in table]
+            change = max(abs(a / b - 1) for a, b in zip(image, t))
+            t = image
+            if change < mpmath.mpf(10) ** -57:
+                break
+        root = t[automaton.state_index()[automaton.initial]]
+        return (q - 1) * mpmath.log(root) / mpmath.log(automaton.m)
 
 
 def cubic_root():
@@ -85,6 +102,26 @@ class TestKps:
         got = multiplicative.kps_hausdorff(aut, 2)
         assert got == pytest.approx(math.log(cubic_root()) / LOG2, abs=1e-9)
         assert got == pytest.approx(FIB_DIM_H, abs=1e-9)
+
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("name", sorted(DIMS_AUTOMATA))
+    def test_kps_dimension_to_rounding(self, name, q):
+        # Newton ends the fixed point on rounding, in at most 8 iterations; the
+        # plain iteration's stop at a relative step of 1e-14 left 14 to 57 eps
+        automaton = DIMS_AUTOMATA[name]()
+        with mpmath.workdps(50):
+            closed = {
+                ("fibonacci", 2): mpmath.log(mpmath.findroot(lambda a: a**3 - 2 * a**2 + a - 1, 1.75), 2),
+                ("two_regular_ternary", 2): mpmath.log(2, 3),
+                ("two_regular_ternary", 3): mpmath.log(2, 3),
+                ("full_shift3", 2): mpmath.mpf(1),
+                ("full_shift3", 3): mpmath.mpf(1),
+            }
+            want = closed[name, q] if (name, q) in closed else mp_kps_dimension(automaton, q)
+        got = multiplicative.kps_hausdorff(automaton, q)
+        assert abs(got - float(want)) <= 4 * np.finfo(float).eps
+        iterations = thermo.fixed_point(*multiplicative._state_operator(automaton), q, "x")[2]
+        assert iterations[0] <= 8
 
     def test_fixed_point_equation(self):
         # t_v^q = sum over children t_{v'} at every state

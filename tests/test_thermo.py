@@ -26,6 +26,20 @@ def seeded_table() -> thermo.Potential:
     return thermo.Potential(m=3, q=2, d=3, table=np.random.default_rng(3).uniform(-1, 1, (3, 3, 3)))
 
 
+EPS = np.finfo(float).eps
+
+# the potentials and parameters of the rounding checks: P against mp_pressure,
+# and the two sides of the Newton crossover against each other
+ROUNDING_POTENTIALS = {
+    "rademacher22": thermo.rademacher_potential(2, 2),
+    "rademacher23": thermo.rademacher_potential(2, 3),
+    "rademacher32": thermo.rademacher_potential(3, 2),
+    "indicator23": thermo.indicator_potential(2, 3),
+    "seeded": seeded_table(),
+}
+ROUNDING_S = (-3.0, -0.7, 0.0, 0.4, 2.5)
+
+
 def mp_pressure(phi: thermo.Potential, s) -> mpmath.mpf:
     """P(s) to some 55 digits: psi^q = W psi iterated in 60-digit arithmetic from psi = 1.
 
@@ -152,6 +166,15 @@ class TestPressure:
         assert thermo.pressure_second_derivative(phi, sol) == pytest.approx(
             curvature, rel=1e-12, abs=0.0
         )
+
+    @pytest.mark.parametrize("name", sorted(ROUNDING_POTENTIALS))
+    def test_pressure_to_rounding(self, name):
+        # Newton ends the fixed point on rounding; the plain iteration's stop at
+        # a relative step of 1e-14 left up to 32 eps |P| here
+        phi = ROUNDING_POTENTIALS[name]
+        for s in ROUNDING_S:
+            want = float(mp_pressure(phi, s))
+            assert abs(thermo.pressure(phi, s) - want) <= 8 * EPS * max(1.0, abs(want)), s
 
     @pytest.mark.parametrize("s", [-300.0, 10.0, 40.0, 300.0])
     def test_random_table_to_fifty_digits(self, s):
@@ -495,6 +518,7 @@ class TestCurve:
         ),
     )
     @settings(max_examples=25, deadline=None)
+    @example(m=2, q=2, d=7, seed=5, grid=[2.0, -3.0, 0.5, 2.0])  # 64 contexts: the plain step
     def test_batched_matches_one_solve_per_s(self, m, q, d, seed, grid):
         # the oracle is the one-s solve: every row of the batched kernel must
         # end on the same iteration with the same bits, whatever the grid order
@@ -545,3 +569,45 @@ class TestCurve:
         assert peak < 32e6
         for i in (0, 123, 200, 400):
             assert curve.P[i] == thermo.pressure(phi, grid[i])
+
+
+class TestNewton:
+    @pytest.mark.parametrize("states", [0, 10**9], ids=["plain", "newton"])
+    def test_zero_rows_keep_solving(self, monkeypatch, states):
+        # a row with no weight, or with weight on such rows only, has psi = 0:
+        # the Newton step gives it a zero increment where log 0 would be -inf
+        monkeypatch.setattr(thermo, "_NEWTON_STATES", states)
+        child = np.array([[0, 1], [0, 1], [1, 0]])
+        for weights in ([[1.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]]):
+            weights = np.array(weights)
+            psi, residual, iterations = thermo.fixed_point(weights, child[: len(weights)], 2, "x")
+            assert psi[0] == pytest.approx(1.0, abs=1e-14)
+            assert psi[1:].tolist() == [0.0] * (len(weights) - 1)
+            assert residual[0] < 1e-14
+            assert iterations[0] <= (46 if states == 0 else 8)
+
+    def test_few_iterations_below_the_crossover(self):
+        # Newton from chi = 1 stops within 8 iterations wherever the contexts
+        # number at most _NEWTON_STATES; the plain step took up to 47 here
+        for m, d in ((2, 2), (2, 3), (2, 6), (3, 2), (3, 3), (4, 3)):
+            assert m ** (d - 1) <= thermo._NEWTON_STATES
+            for q in (2, 3, 5):
+                table = np.random.default_rng([m, d, q]).uniform(-1.0, 1.0, (m,) * d)
+                phi = thermo.Potential(m=m, q=q, d=d, table=table)
+                for s in (-2000.0, -40.0, -3.0, -0.7, 0.0, 0.4, 2.5, 40.0, 2000.0):
+                    assert thermo.solve_psi(phi, s).iterations <= 8, (m, d, q, s)
+
+    @pytest.mark.parametrize("name", sorted(ROUNDING_POTENTIALS))
+    def test_sides_of_the_crossover_agree(self, monkeypatch, name):
+        # the plain step stops on a relative step below _FIXED_POINT_TOL, which
+        # leaves about that much in log psi: the sides agree to it, not to rounding
+        phi, tol = ROUNDING_POTENTIALS[name], thermo._FIXED_POINT_TOL
+        curves, iterations = [], []
+        for states in (0, 10**9):
+            monkeypatch.setattr(thermo, "_NEWTON_STATES", states)
+            curves.append(thermo.pressure_curve(phi, ROUNDING_S))
+            iterations.append(thermo.solve_psi(phi, 0.4).iterations)
+        plain, newton = curves
+        assert iterations[0] > 8 >= iterations[1]
+        assert np.abs(plain.P - newton.P).max() <= 2 * tol
+        assert np.abs(plain.dP - newton.dP).max() <= 4 * tol

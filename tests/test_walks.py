@@ -89,7 +89,8 @@ class TestTransferAndPressure:
         assert np.allclose(t, 0.5)
 
     def test_spectral_radius_periodic_matrix(self):
-        # plain power iteration oscillates on this one; the shift fixes it
+        # power iteration oscillates on this one; the dense eigensolve takes the
+        # eigenvalue of largest real part, 1, over its -1
         lam, _ = walks.spectral_radius(np.array([[0.0, 1.0], [1.0, 0.0]]))
         assert lam == pytest.approx(1.0, abs=1e-12)
 
