@@ -88,11 +88,15 @@ def _emit(rows: list[dict], header: list[str], args) -> None:
 
 def _load_potential(args) -> thermo.Potential:
     if args.config:
+        ignored = [f"--{name}" for name in ("potential", "q", "d") if getattr(args, name) is not None]
+        if ignored:
+            raise ValidationError(f"spectrum takes {', '.join(ignored)} only without --config")
         return thermo.Potential.from_json(_read_config(args.config))
+    q, d = (2 if value is None else value for value in (args.q, args.d))
     if args.potential == "rademacher":
-        return thermo.rademacher_potential(args.q, args.d)
+        return thermo.rademacher_potential(q, d)
     if args.potential == "indicator":
-        return thermo.indicator_potential(args.q, args.d)
+        return thermo.indicator_potential(q, d)
     raise ValidationError("spectrum needs --config FILE or --potential NAME")
 
 
@@ -127,6 +131,8 @@ def _load_system(args) -> walks.WalkSystem:
 
 
 def cmd_walk(args) -> int:
+    if args.alpha is not None and args.grid is not None:
+        raise ValidationError("walk takes --grid only without --alpha")
     system = _load_system(args)
     if args.alpha is not None:
         alpha = np.array(_parse_list(args.alpha, float, "--alpha"))
@@ -139,7 +145,7 @@ def cmd_walk(args) -> int:
         return EXIT_OK
     if system.dim != 1:
         raise ValidationError("--grid spectra need a one-dimensional system; use --alpha")
-    grid = _parse_grid(args.grid)
+    grid = _parse_grid("-3:3:121" if args.grid is None else args.grid)
     rows = []
     for s in grid:
         alpha = float(walks.pressure_gradient(system, [s])[0])
@@ -172,9 +178,11 @@ def cmd_riesz(args) -> int:
 
 def cmd_sample(args) -> int:
     if args.measure == "uniform":
-        base = telescopic.BaseMeasure.uniform(args.m)
+        base = telescopic.BaseMeasure.uniform(2 if args.m is None else args.m)
     else:
         base = telescopic.BaseMeasure.from_json(_read_config(args.measure))
+        if args.m not in (None, base.m):
+            raise ValidationError(f"--m {args.m} does not match the measure file's m = {base.m}")
     digits = np.frombuffer(b"0123456789abcdefghijklmnopqrstuvwxyz", dtype=np.uint8)
     if base.m > len(digits):
         raise ValidationError(f"sample writes one character 0-9a-z per symbol: m must be <= 36, "
@@ -278,8 +286,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--config", default=None, help="potential JSON file")
     p.add_argument("--potential", choices=("indicator", "rademacher"), default=None)
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--d", type=int, default=2)
+    p.add_argument("--q", type=int, default=None, help="without --config (default 2)")
+    p.add_argument("--d", type=int, default=None, help="without --config (default 2)")
     p.add_argument("--grid", default="-10:10:201")
 
     p = sub.add_parser("dims", help="Hausdorff and box dimensions of an automaton set")
@@ -294,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("csv", "json"), default="csv")
     p.add_argument("--system", required=True, help="case1, case2, or a JSON file")
     p.add_argument("--alpha", default=None, help="comma-separated drift vector")
-    p.add_argument("--grid", default="-3:3:121", help="s-grid for 1-d systems")
+    p.add_argument("--grid", default=None, help="s-grid for 1-d systems, without --alpha (default -3:3:121)")
 
     p = sub.add_parser("riesz", help="sample a Walsh-Riesz product path")
     p.add_argument("--out", default=None)
@@ -307,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--measure", default="uniform", help="'uniform' or a base-measure JSON file")
-    p.add_argument("--m", type=int, default=2)
+    p.add_argument("--m", type=int, default=None, help="default 2; with a file, its m")
     p.add_argument("--q", type=int, default=2)
     p.add_argument("--n", type=int, default=10)
 

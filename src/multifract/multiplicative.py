@@ -77,15 +77,14 @@ def kps_solution(automaton: PrefixAutomaton, q: int) -> KpsSolution:
     """
     if q < 2:
         raise ValidationError(f"q must be >= 2, got {q}")
-    t, residual, _ = fixed_point(*_state_operator(automaton), q, "on the automaton states")
-    root = automaton.state_index()[automaton.initial]
-    return KpsSolution(t=t, t_root=float(t[root]), q=q, m=automaton.m, residual=float(residual[0]))
+    weights, child = _state_operator(automaton)
+    (t,), (residual,), _ = fixed_point(weights[None], child, q, "on the automaton states")
+    return KpsSolution(t=t, t_root=float(t[automaton.root]), q=q, m=automaton.m, residual=float(residual))
 
 
 def _state_operator(automaton: PrefixAutomaton) -> tuple[np.ndarray, np.ndarray]:
     """0/1 weights (symbol enabled) and child states of the transition table, -1 masked to 0."""
-    table = np.array(automaton.transition_table())
-    return (table >= 0).astype(float), np.maximum(table, 0)
+    return (automaton.table >= 0).astype(float), np.maximum(automaton.table, 0)
 
 
 def kps_measure(automaton: PrefixAutomaton, q: int) -> BaseMeasure:
@@ -99,8 +98,7 @@ def kps_measure(automaton: PrefixAutomaton, q: int) -> BaseMeasure:
     weights, child = _state_operator(automaton)
     t = kps_solution(automaton, q).t
     kernel = weights * t[child] / t[:, None] ** q
-    root = automaton.state_index()[automaton.initial]
-    return BaseMeasure(kernel / kernel.sum(axis=1, keepdims=True), child, root)
+    return BaseMeasure(kernel / kernel.sum(axis=1, keepdims=True), child, automaton.root)
 
 
 def kps_hausdorff(automaton: PrefixAutomaton, q: int) -> float:
@@ -177,13 +175,12 @@ def brute_force_count(automaton: PrefixAutomaton, q: int, n: int) -> int:
         raise ValidationError(f"n must be >= 1, got {n}")
     if n * math.log(automaton.m) > _BRUTE_FORCE_BITS * math.log(2) + 1e-9:
         raise ValidationError(f"m^n too large to enumerate (guard: m^n <= 2^{_BRUTE_FORCE_BITS})")
-    table = np.array(automaton.transition_table(), dtype=np.int16)
+    table = automaton.table.astype(np.int16)
     chains = lambda_partition(q, n)
     column = np.empty(n + 1, dtype=np.int64)  # the chain of each position
     for i, chain in enumerate(chains):
         column[list(chain.elements)] = i
-    init = automaton.state_index()[automaton.initial]
-    count, stack = 0, [(1, np.full((1, len(chains)), init, dtype=np.int16))]
+    count, stack = 0, [(1, np.full((1, len(chains)), automaton.root, dtype=np.int16))]
     while stack:
         pos, states = stack.pop()
         nxt = table[states[:, column[pos]]]  # every word extended by every symbol
@@ -220,8 +217,7 @@ def psss_solution(
     is the bracket's midpoint.
     """
     matrix = transition_matrix(*_state_operator(automaton))
-    m = automaton.m
-    root = automaton.state_index()[automaton.initial]
+    m, root = automaton.m, automaton.root
     elems, num, den = semigroup_series(spec.primes, target)
     if len(elems) > 1:  # depth D = K - 1 >= 1: drop 1/l_K from the sum
         num -= den // elems.pop()
@@ -260,7 +256,12 @@ def dims_report(
     spec: SemigroupSpec | None = None,
     tol: float = 1e-9,
 ) -> dict:
-    """Hausdorff + box dimensions with the symmetry flag, as a plain dict."""
+    """Hausdorff + box dimensions with the symmetry flag, as a plain dict.
+
+    `residual` has two meanings: with q, the last relative step of the KPS
+    fixed point (:func:`kps_solution`); with a semigroup spec, the PSSS
+    bracket width in log_m units (:func:`psss_solution`).
+    """
     if (q is None) == (spec is None):
         raise ValidationError("pass exactly one of q or a semigroup spec")
     if q is not None:

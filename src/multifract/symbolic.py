@@ -202,13 +202,18 @@ class PrefixAutomaton:
     The language of the automaton (all paths from the initial state) is the
     set of admissible prefixes. Every state must be reachable and must have
     at least one outgoing transition, so the described set is nonempty and
-    closed.
+    closed. The named `states` and `transitions` are built once into the
+    array form that the counting and dimension routines read: `table`, a
+    read-only (states, m) array of next-state indices (-1 for a forbidden
+    symbol), and `root`, the index of the initial state.
     """
 
     m: int
     states: tuple[str, ...]
     initial: str
     transitions: dict[tuple[str, int], str] = field(hash=False)
+    table: np.ndarray = field(init=False, repr=False, compare=False)
+    root: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 2:
@@ -218,46 +223,31 @@ class PrefixAutomaton:
             raise ValidationError("duplicate state names")
         if self.initial not in idx:
             raise ValidationError(f"initial state {self.initial!r} not declared")
+        table = np.full((len(idx), self.m), -1)
         for (src, sym), dst in self.transitions.items():
             if src not in idx or dst not in idx:
                 raise ValidationError(f"transition {(src, sym, dst)} uses undeclared state")
             if not 0 <= sym < self.m:
                 raise ValidationError(f"transition symbol {sym} outside alphabet of size {self.m}")
-        # reachability from the initial state
-        reached = {self.initial}
-        frontier = [self.initial]
-        while frontier:
-            src = frontier.pop()
-            for sym in range(self.m):
-                dst = self.transitions.get((src, sym))
-                if dst is not None and dst not in reached:
-                    reached.add(dst)
-                    frontier.append(dst)
-        unreachable = set(self.states) - reached
-        if unreachable:
-            raise ValidationError(f"unreachable states: {sorted(unreachable)}")
-        for s in self.states:
-            if not any((s, sym) in self.transitions for sym in range(self.m)):
-                raise ValidationError(f"dead state {s!r}: no outgoing transition")
-
-    # -- integer-coded view used by the counting and dimension routines --
-
-    def state_index(self) -> dict[str, int]:
-        return {s: i for i, s in enumerate(self.states)}
-
-    def transition_table(self) -> list[list[int]]:
-        """Table[state][symbol] -> next state index, or -1 if forbidden."""
-        idx = self.state_index()
-        table = [[-1] * self.m for _ in self.states]
-        for (src, sym), dst in self.transitions.items():
-            table[idx[src]][sym] = idx[dst]
-        return table
+            table[idx[src], sym] = idx[dst]
+        rows, reached, level = table.tolist(), set(), {idx[self.initial]}
+        while level:  # breadth first: the states first reached by words of each length
+            reached |= level
+            level = {t for s in level for t in rows[s] if t >= 0} - reached
+        if len(reached) < len(rows):
+            unreachable = sorted(s for i, s in enumerate(self.states) if i not in reached)
+            raise ValidationError(f"unreachable states: {unreachable}")
+        dead = [s for s, row in zip(self.states, rows) if max(row) < 0]
+        if dead:
+            raise ValidationError(f"dead state {dead[0]!r}: no outgoing transition")
+        table.setflags(write=False)
+        object.__setattr__(self, "table", table)
+        object.__setattr__(self, "root", idx[self.initial])
 
     def accepts(self, word: Sequence[int]) -> bool:
-        table = self.transition_table()
-        state = self.state_index()[self.initial]
-        for a in word:
-            state = table[state][a]
+        state = self.root
+        for a in check_word(word, self.m):
+            state = self.table[state, a]
             if state < 0:
                 return False
         return True
@@ -272,9 +262,12 @@ class PrefixAutomaton:
             m = json_int(doc, "alphabet")
             states = tuple(str(s) for s in doc["states"])
             initial = str(doc["initial"])
-            transitions = {
-                (str(t["from"]), json_int(t, "symbol")): str(t["to"]) for t in doc["transitions"]
-            }
+            transitions = {}
+            for t in doc["transitions"]:
+                key = (str(t["from"]), json_int(t, "symbol"))
+                if key in transitions:
+                    raise ValidationError(f"two transitions from state {key[0]!r} on symbol {key[1]}")
+                transitions[key] = str(t["to"])
         except (KeyError, TypeError) as e:
             raise ValidationError(f"malformed automaton document: {e}") from e
         return cls(m=m, states=states, initial=initial, transitions=transitions)
@@ -299,17 +292,6 @@ def prefix_count(automaton: PrefixAutomaton, k: int) -> int:
     return prefix_counts_up_to(automaton, k)[k]
 
 
-def reachable_states_by_level(automaton: PrefixAutomaton, depth: int) -> list[set[int]]:
-    """States reachable by words of each length 0..depth."""
-    table = automaton.transition_table()
-    level = {automaton.state_index()[automaton.initial]}
-    out = [set(level)]
-    for _ in range(depth):
-        level = {t for s in level for t in table[s] if t >= 0}
-        out.append(set(level))
-    return out
-
-
 def spherically_symmetric(automaton: PrefixAutomaton, depth: int | None = None) -> bool:
     """Whether all prefixes at every level have the same number of continuations.
 
@@ -321,11 +303,13 @@ def spherically_symmetric(automaton: PrefixAutomaton, depth: int | None = None) 
         depth = len(automaton.states) + 1
     if depth < 1:
         raise ValidationError(f"depth must be >= 1, got {depth}")
-    table = automaton.transition_table()
+    table = automaton.table.tolist()
     degree = [sum(1 for t in row if t >= 0) for row in table]
-    for level in reachable_states_by_level(automaton, depth - 1):
+    level = {automaton.root}
+    for _ in range(depth):  # the states that the prefixes of one length reach
         if len({degree[s] for s in level}) > 1:
             return False
+        level = {t for s in level for t in table[s] if t >= 0}
     return True
 
 
@@ -393,9 +377,9 @@ def two_regular_ternary() -> PrefixAutomaton:
 
 def prefix_counts_up_to(automaton: PrefixAutomaton, depth: int) -> list[int]:
     """[|Pref_0|, ..., |Pref_depth|] in one DP sweep."""
-    table = automaton.transition_table()
-    counts = [0] * len(automaton.states)
-    counts[automaton.state_index()[automaton.initial]] = 1
+    table = automaton.table.tolist()  # Python ints: the counts stay exact
+    counts = [0] * len(table)
+    counts[automaton.root] = 1
     out = [1]
     for _ in range(depth):
         nxt = [0] * len(counts)

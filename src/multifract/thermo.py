@@ -202,23 +202,17 @@ class PsiSolution:
     derivative: float
 
 
-def operator_step(weights: np.ndarray, child: np.ndarray, psi: np.ndarray, q: float) -> np.ndarray:
-    """Image (sum_j weights[u, j] psi[child[u, j]])^(1/q) of psi under psi^q = W psi, per row u."""
-    return np.add.reduce(weights * psi[child], axis=1) ** (1.0 / q)
-
-
 def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str | np.ndarray):
     """Fixed points of S stacked systems psi^q = W psi from psi = 1: (psi, residual, iterations).
 
-    The S systems share the child codes `child` (n, m) and are laid out flat
-    as one block-diagonal system: system i owns rows i n .. (i+1) n - 1 of
-    `weights` (S n, m), and its child codes are offset by i n. Each iteration
-    takes the image (W psi)^(1/q) of the systems still active, as
-    :func:`operator_step` does, with one residual max|image - psi| / max image
-    per system, over its own block. A system is frozen with psi = image at the
-    iteration where that residual first drops below the tolerance and leaves
-    the active set, so each one ends bit for bit where it would end alone.
-    Returns psi (S n,), residual (S,) and iterations (S,).
+    The S systems share one child table `child` (n, m); system i has the
+    weights `weights[i]` (n, m), and the stack is `weights` (S, n, m). Each
+    iteration takes the image (sum_j W[u, j] psi[child[u, j]])^(1/q) of every
+    system still active, and one residual max|image - psi| / max image per
+    system. A system is frozen with psi = image at the iteration where that
+    residual first drops below the tolerance and leaves the active set, so
+    each one ends bit for bit where it would end alone. Returns psi (S, n),
+    residual (S,) and iterations (S,).
 
     The others take one step: Newton on log chi, monotone from chi = 1 (chi
     the iterate psi), when n <= _NEWTON_STATES, by :func:`_newton_step`'s
@@ -235,15 +229,12 @@ def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str | n
     array of the S parameters s, when the error says `at s=<value>` and
     carries that s as its `parameter`.
     """
-    n, width = child.shape
-    count = len(weights) // n
+    count, n = weights.shape[:2]
     newton = n <= _NEWTON_STATES
-    blocks = n * np.arange(count)  # first row of each active system
-    codes = (child + blocks[:, None, None]).reshape(-1, width)
-    psi_out, residual_out = np.empty(len(weights)), np.empty(count)
+    psi_out, residual_out = np.empty((count, n)), np.empty(count)
     iterations_out = np.empty(count, dtype=int)
     active = np.arange(count)  # the systems still iterating, in stack order
-    psi = np.ones(len(weights))
+    psi = np.ones((count, n))
 
     def fail(message, i):
         """ConvergenceError for the i-th active system at the current iteration."""
@@ -256,30 +247,24 @@ def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str | n
     with np.errstate(all="ignore"):
         while len(active):
             it += 1
-            terms = weights * psi[codes]
-            image = np.add.reduce(terms, axis=1) ** (1.0 / q)  # operator_step, bit for bit
-            residual = np.maximum.reduceat(np.abs(image - psi), blocks) / np.maximum.reduceat(
-                image, blocks
-            )
+            terms = weights * psi[:, child]
+            image = np.add.reduce(terms, axis=2) ** (1.0 / q)
+            residual = np.maximum.reduce(np.abs(image - psi), axis=1) / np.maximum.reduce(image, axis=1)
             # one reduction per iteration (the ufunc, not the slower method): a NaN
-            # residual propagates through the minimum, and an inf one (a zero block)
-            # turns NaN on the next iteration
+            # residual propagates through the minimum, and an inf one (a zero
+            # system) turns NaN on the next iteration
             if not np.minimum.reduce(residual) >= _FIXED_POINT_TOL:
                 finite = np.isfinite(residual)
                 if not finite.all():
                     raise fail("non-finite fixed-point iterate", int(np.argmin(finite)))
                 done = residual < _FIXED_POINT_TOL
                 frozen = active[done]
-                psi_out.reshape(count, n)[frozen] = image.reshape(-1, n)[done]
-                residual_out[frozen] = residual[done]
+                psi_out[frozen], residual_out[frozen] = image[done], residual[done]
                 iterations_out[frozen] = it
                 keep = ~done
-                active, residual = active[keep], residual[keep]
-                psi, image, terms, weights = (
-                    a.reshape(len(keep), n, -1)[keep].reshape(-1, *a.shape[1:])
-                    for a in (psi, image, terms, weights)
+                active, residual, psi, image, terms, weights = (
+                    a[keep] for a in (active, residual, psi, image, terms, weights)
                 )
-                blocks, codes = blocks[: len(active)], codes[: len(psi)]
             if not len(active):
                 break
             if it == _FIXED_POINT_CAP:
@@ -291,16 +276,14 @@ def fixed_point(weights: np.ndarray, child: np.ndarray, q: float, where: str | n
 def _newton_step(terms: np.ndarray, psi: np.ndarray, image: np.ndarray, child: np.ndarray, q: float):
     """psi e^delta for S stacked systems on `child` (n, m), with (I - K/q) delta = log image - log psi.
 
-    terms = W psi[child] (S n, m) and K its row-normalised kernel. A row
+    terms = W psi[child] (S, n, m) and K its row-normalised kernel. A row
     whose image is 0 (its weight all on children at 0) has psi = 0 at the
     fixed point: it keeps K = 0 and a zero increment, and steps to psi = image = 0.
     """
-    n, width = child.shape
     live = image > 0
-    kernel = terms / np.where(live, np.add.reduce(terms, axis=1), 1.0)[:, None]
+    kernel = terms / np.where(live, np.add.reduce(terms, axis=2), 1.0)[:, :, None]
     rhs = np.where(live, np.log(image) - np.log(psi), 0.0)
-    matrix = _tangent_matrix(kernel.reshape(-1, n, width), child, q)
-    delta = np.linalg.solve(matrix, rhs.reshape(-1, n, 1)).ravel()
+    delta = np.linalg.solve(_tangent_matrix(kernel, child, q), rhs[:, :, None])[:, :, 0]
     return np.where(live, psi * np.exp(delta), 0.0)
 
 
@@ -313,18 +296,21 @@ def _tree_fixed_point(potential: Potential, weights: np.ndarray, where: str | np
     """(psi, residual, iterations) of S systems psi^q = W psi on the tree, weights (S, N, m).
 
     One :func:`fixed_point` call solves the contexts, which close among
-    themselves; then each word level takes one :func:`operator_step`, S on a trailing axis.
+    themselves. Then each word level, deepest first, takes the image of its
+    children, (sum_j W psi[child])^(1/q), with the S systems on a trailing
+    axis: the (rows, m, S) terms sum over the middle axis, one term after
+    another. A sum over a contiguous last axis would pair the terms from
+    m = 8 on and move P' in its last bits.
     """
-    m, child = potential.m, potential._operator[1]
+    m, q, child = potential.m, potential.q, potential._operator[1]
     words = len(child) - m ** (potential.d - 1)
-    flat = weights[:, words:].reshape(-1, m)
-    contexts, residual, iterations = fixed_point(flat, child[words:] - words, potential.q, where)
+    contexts, residual, iterations = fixed_point(weights[:, words:], child[words:] - words, q, where)
     psi, stacked = np.empty((len(child), len(weights))), weights.transpose(1, 2, 0)
-    psi[words:] = contexts.reshape(-1, len(child) - words).T
+    psi[words:] = contexts.T
     hi = words
     while hi:  # the words lo..hi-1 of one length, whose children are 1 + m lo .. m hi
         lo = (hi - 1) // m
-        psi[lo:hi] = operator_step(stacked[lo:hi], child[lo:hi], psi, potential.q)
+        psi[lo:hi] = np.add.reduce(stacked[lo:hi] * psi[child[lo:hi]], axis=1) ** (1.0 / q)
         hi = lo
     return psi.T, residual, iterations
 

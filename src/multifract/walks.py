@@ -102,10 +102,14 @@ class WalkSystem:
         return out
 
     @cached_property
+    def child(self) -> np.ndarray:
+        """The step graph: child[w, i] = w + A[i] mod p, the residue after step i from w, shape (p, #A)."""
+        return (np.arange(self.p)[:, None] + np.array(self.steps)) % self.p
+
+    @cached_property
     def step_mask(self) -> np.ndarray:
         """mask[i, j] = 1 iff j - i is a step residue, shape (p, p)."""
-        child = (np.arange(self.p)[:, None] + np.array(self.steps)) % self.p
-        return transition_matrix(np.ones(child.shape), child)
+        return transition_matrix(np.ones(self.child.shape), self.child)
 
     @classmethod
     def from_json(cls, text: str) -> "WalkSystem":
@@ -114,11 +118,15 @@ class WalkSystem:
         except json.JSONDecodeError as e:
             raise ValidationError(f"invalid walk-system JSON: {e}") from e
         try:
+            try:  # each step whole by the rule of `json_int`: 2.0 reads as 2, true and 1.5 fail
+                steps = tuple(json_int(doc["A"], i) for i in range(len(doc["A"])))
+            except ValidationError:
+                raise ValidationError(f"steps must be integers, got {tuple(doc['A'])!r}") from None
             return cls(
                 p=json_int(doc, "p"),
                 tau=np.asarray(doc["tau"], dtype=float),
                 v=np.asarray(doc["v"], dtype=float),
-                steps=tuple(doc["A"]),
+                steps=steps,
             )
         except (KeyError, TypeError) as e:
             raise ValidationError(f"malformed walk-system document: {e}") from e
@@ -352,7 +360,7 @@ def evolution_measure(system: WalkSystem, s) -> BaseMeasure:
     """
     data = walk_pressure(system, s)
     chain, _ = _perron_chain(system, data)
-    child = (np.arange(system.p)[:, None] + np.array(system.steps)) % system.p
+    child = system.child
     kernel = np.take_along_axis(chain, child, axis=1)
     kernel /= kernel.sum(axis=1, keepdims=True)  # exact identity up to rounding
     first = child[0]  # the start moves as residue 0 does, to A mod p

@@ -66,6 +66,17 @@ class TestSpectrumCommand:
         assert run(["spectrum", "--config", str(cfg), "--grid=-2:2:5", "--out", str(out)]) == 0
         assert len(out.read_text().splitlines()) == 6
 
+    @pytest.mark.parametrize("flags, named", [(["--potential", "rademacher"], "--potential"),
+                                              (["--q", "3", "--d", "4"], "--q, --d")])
+    def test_options_beside_config_are_config_error(self, tmp_path, capfd, flags, named):
+        # the file once won silently over --potential, --q and --d
+        cfg = tmp_path / "phi.json"
+        cfg.write_text(thermo.indicator_potential(2, 2).to_json())
+        assert run(["spectrum", "--config", str(cfg), *flags, "--grid=-1:1:3"]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: spectrum takes {named} only without --config\n"
+
     def test_missing_potential_is_config_error(self):
         assert run(["spectrum", "--grid=-1:1:3"]) == cli.EXIT_CONFIG
 
@@ -127,6 +138,14 @@ class TestDimsCommand:
         report = json.loads(out.read_text())
         assert 0.0 < report["dim_H"] < 1.0
         assert report["dim_B"] >= report["dim_H"] - 1e-6
+
+    def test_duplicate_transition_is_config_error(self, tmp_path, capfd):
+        cfg = tmp_path / "two.json"
+        cfg.write_text(json.dumps({"alphabet": 2, "states": ["a", "b"], "initial": "a", "transitions": [
+            {"from": "a", "symbol": 0, "to": "a"}, {"from": "a", "symbol": 0, "to": "b"},
+            {"from": "b", "symbol": 0, "to": "a"}]}))
+        assert run(["dims", "--config", str(cfg), "--q", "2"]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err == "error: two transitions from state 'a' on symbol 0\n"
 
     def test_missing_file(self):
         assert run(["dims", "--config", "/nonexistent.json", "--q", "2"]) == cli.EXIT_CONFIG
@@ -225,6 +244,22 @@ class TestWalkCommand:
         assert run(["walk", "--system", str(system), "--alpha", "0.3"]) == cli.EXIT_CONFIG
         assert capfd.readouterr().err == "error: steps must be integers, got (0, 1.5)\n"
 
+    def test_boolean_steps_are_config_error(self, tmp_path, capfd):
+        # json_int's rule for each step: true once read as the step 1, while 1.0 is 1
+        system = tmp_path / "steps.json"
+        system.write_text('{"p": 2, "tau": [[-1]], "v": [1], "A": [true, false]}')
+        assert run(["walk", "--system", str(system), "--alpha", "0.3"]) == cli.EXIT_CONFIG
+        assert capfd.readouterr().err == "error: steps must be integers, got (True, False)\n"
+        system.write_text('{"p": 2, "tau": [[-1]], "v": [1], "A": [0.0, 1.0]}')
+        assert run(["walk", "--system", str(system), "--alpha", "0.3"]) == 0
+
+    def test_grid_beside_alpha_is_config_error(self, capfd):
+        # the grid was never parsed
+        assert run(["walk", "--system", "case1", "--alpha", "0.5", "--grid=bad"]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: walk takes --grid only without --alpha\n"
+
     def test_lost_perron_vector_is_numeric_error(self, tmp_path, capfd):
         # parity18 of tests/test_walks.py: at s = 50 the Perron vector is lost
         # to rounding, where the grid printed 50,nan,nan and exited 0
@@ -288,6 +323,18 @@ class TestSampleAndRiesz:
         assert run(argv) == cli.EXIT_CONFIG
         captured = capfd.readouterr()
         assert captured.out == "" and captured.err == "error: probabilities must be finite\n"
+
+    def test_sample_m_must_match_measure_file(self, tmp_path, capfd):
+        # the file's m = 2 once won silently over --m 5
+        law = tmp_path / "law.json"
+        law.write_text('{"m": 2, "order": 0, "initial": [1.0], "kernel": [[0.5, 0.5]]}')
+        argv = ["sample", "--measure", str(law), "--n", "5", "--seed", "1"]
+        assert run([*argv, "--m", "5"]) == cli.EXIT_CONFIG
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: --m 5 does not match the measure file's m = 2\n"
+        assert run([*argv, "--m", "2"]) == 0
+        assert len(capfd.readouterr().out.strip()) == 5
 
     def test_riesz_path(self, tmp_path, capsys):
         out = tmp_path / "path.txt"

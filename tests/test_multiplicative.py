@@ -74,7 +74,7 @@ def six_automata():
 def mp_kps_dimension(automaton: symbolic.PrefixAutomaton, q: int) -> mpmath.mpf:
     """(q-1) log_m t(root), t^q = sum of the children iterated in 60-digit arithmetic from t = 1."""
     with mpmath.workdps(60):
-        table = automaton.transition_table()
+        table = automaton.table.tolist()
         t = [mpmath.mpf(1)] * len(table)
         while True:
             image = [mpmath.root(mpmath.fsum(t[c] for c in row if c >= 0), q) for row in table]
@@ -82,7 +82,7 @@ def mp_kps_dimension(automaton: symbolic.PrefixAutomaton, q: int) -> mpmath.mpf:
             t = image
             if change < mpmath.mpf(10) ** -57:
                 break
-        root = t[automaton.state_index()[automaton.initial]]
+        root = t[automaton.root]
         return (q - 1) * mpmath.log(root) / mpmath.log(automaton.m)
 
 
@@ -120,14 +120,15 @@ class TestKps:
             want = closed[name, q] if (name, q) in closed else mp_kps_dimension(automaton, q)
         got = multiplicative.kps_hausdorff(automaton, q)
         assert abs(got - float(want)) <= 4 * np.finfo(float).eps
-        iterations = thermo.fixed_point(*multiplicative._state_operator(automaton), q, "x")[2]
+        weights, child = multiplicative._state_operator(automaton)
+        iterations = thermo.fixed_point(weights[None], child, q, "x")[2]
         assert iterations[0] <= 8
 
     def test_fixed_point_equation(self):
         # t_v^q = sum over children t_{v'} at every state
         aut = symbolic.fibonacci_automaton()
         sol = multiplicative.kps_solution(aut, 2)
-        table = aut.transition_table()
+        table = aut.table.tolist()
         for i, _ in enumerate(aut.states):
             children = sum(sol.t[j] for j in table[i] if j >= 0)
             assert sol.t[i] ** 2 == pytest.approx(children, rel=1e-12)

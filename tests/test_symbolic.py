@@ -116,6 +116,37 @@ class TestPrefixAutomaton:
         with pytest.raises(ValidationError):
             symbolic.PrefixAutomaton.from_json(json.dumps(doc))
 
+    def test_rejects_duplicate_transitions(self):
+        # the document once loaded as its last transition, (a, 0) -> b
+        doc = {"alphabet": 2, "states": ["a", "b"], "initial": "a",
+               "transitions": [{"from": "a", "symbol": 0, "to": "a"}, {"from": "a", "symbol": 0, "to": "b"},
+                               {"from": "b", "symbol": 1, "to": "a"}]}
+        with pytest.raises(ValidationError, match="two transitions from state 'a' on symbol 0"):
+            symbolic.PrefixAutomaton.from_json(json.dumps(doc))
+
+    def test_accepts_checks_symbols(self):
+        # -1 once read symbol 1 by Python's negative index, and 5 raised IndexError
+        for aut, word in ((symbolic.full_shift(2), [-1]), (symbolic.fibonacci_automaton(), [0, 5])):
+            with pytest.raises(ValidationError, match="outside alphabet of size 2"):
+                aut.accepts(word)
+
+    def test_table_and_root(self):
+        aut = symbolic.PrefixAutomaton(m=3, states=("x", "y"), initial="y",
+                                       transitions={("x", 2): "y", ("y", 0): "x", ("y", 1): "y"})
+        assert aut.table.tolist() == [[-1, -1, 1], [0, 1, -1]]
+        assert aut.root == 1
+        with pytest.raises(ValueError):
+            aut.table[0, 0] = 0
+        assert aut == symbolic.PrefixAutomaton.from_json(aut.to_json())
+
+    def test_rejects_unreachable_and_dead_states(self):
+        with pytest.raises(ValidationError, match=r"unreachable states: \['c', 'd'\]"):
+            symbolic.PrefixAutomaton(m=2, states=("d", "a", "c"), initial="a",
+                                     transitions={("a", 0): "a", ("c", 0): "d", ("d", 1): "c"})
+        with pytest.raises(ValidationError, match="dead state 'b': no outgoing transition"):
+            symbolic.PrefixAutomaton(m=2, states=("a", "b"), initial="a",
+                                     transitions={("a", 0): "a", ("a", 1): "b"})
+
     @pytest.mark.parametrize("field, value", [("alphabet", 2.5), ("symbol", 0.9), ("symbol", "0")])
     def test_rejects_non_integer_fields(self, field, value):
         # int() once read the alphabet 2.5 as 2 and the symbol 0.9 as 0

@@ -234,13 +234,13 @@ class TestPressure:
     def test_convergence_error_names_parameter(self):
         # a stacked solve reports which s failed, and the automaton solvers,
         # which have no parameter, leave it None
-        weights = np.vstack([np.ones((2, 2)), np.full((2, 2), np.inf)])
+        weights = np.stack([np.ones((2, 2)), np.full((2, 2), np.inf)])
         child, s = np.array([[0, 1], [0, 1]]), np.array([0.5, 7.0])
         with pytest.raises(ConvergenceError, match="s=") as info:
             thermo.fixed_point(weights, child, 2, s)
         assert info.value.parameter == 7.0
         assert "at s=7.0 " in str(info.value)
-        weights, child = np.full((2, 2), np.inf), np.array([[0, 1], [0, 1]])
+        weights, child = np.full((1, 2, 2), np.inf), np.array([[0, 1], [0, 1]])
         with pytest.raises(ConvergenceError, match="on the states") as info:
             thermo.fixed_point(weights, child, 2, "on the states")
         assert info.value.parameter is None
@@ -580,7 +580,7 @@ class TestNewton:
         child = np.array([[0, 1], [0, 1], [1, 0]])
         for weights in ([[1.0, 1.0], [0.0, 0.0]], [[1.0, 1.0], [0.0, 0.0], [1.0, 0.0]]):
             weights = np.array(weights)
-            psi, residual, iterations = thermo.fixed_point(weights, child[: len(weights)], 2, "x")
+            (psi,), residual, iterations = thermo.fixed_point(weights[None], child[: len(weights)], 2, "x")
             assert psi[0] == pytest.approx(1.0, abs=1e-14)
             assert psi[1:].tolist() == [0.0] * (len(weights) - 1)
             assert residual[0] < 1e-14
