@@ -50,7 +50,7 @@ def _parse_list(text: str, kind: type, flag: str) -> list:
 def _read_config(path: str) -> str:
     try:
         return Path(path).read_text()
-    except OSError as e:
+    except (OSError, UnicodeDecodeError) as e:
         raise ValidationError(f"cannot read config {path}: {e}") from e
 
 
@@ -147,12 +147,10 @@ def cmd_walk(args) -> int:
         raise ValidationError("--grid spectra need a one-dimensional system; use --alpha")
     grid = _parse_grid("-3:3:121" if args.grid is None else args.grid)
     rows = []
-    for s in grid:
-        alpha = float(walks.pressure_gradient(system, [s])[0])
-        p = walks.pressure(system, [s])
-        rows.append(
-            {"s": float(s), "alpha": alpha, "dim": (p - s * alpha) / system.log_base}
-        )
+    for s in grid:  # P and grad P = pi f from one Perron solve
+        data = walks.walk_pressure(system, [s])
+        alpha = float((walks._perron_chain(system, data)[1] @ system.orbit)[0])
+        rows.append({"s": float(s), "alpha": alpha, "dim": (data.pressure - s * alpha) / system.log_base})
     _emit(rows, ["s", "alpha", "dim"], args)
     return EXIT_OK
 

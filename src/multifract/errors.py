@@ -1,4 +1,7 @@
-"""Exception types shared across the package, and the integer check of JSON fields."""
+"""Exception types shared across the package, and the one reader of JSON documents with its integer check."""
+
+import json
+from contextlib import contextmanager
 
 
 class ValidationError(ValueError):
@@ -19,6 +22,29 @@ class ConvergenceError(RuntimeError):
         self.residual = residual
         self.iterations = iterations
         self.parameter = parameter
+
+
+@contextmanager
+def json_document(text: str, what: str):
+    """The JSON object that text holds, for a block that maps its fields onto a constructor.
+
+    Text that is not JSON raises "invalid <what> JSON: ..."; a top level that
+    is not an object, or a KeyError, TypeError, AttributeError or ValueError
+    in the block (a missing field, or one of the wrong JSON type), raises
+    "malformed <what> document: ...". A ValidationError passes through.
+    """
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as e:  # RecursionError: nested too deep to decode
+        raise ValidationError(f"invalid {what} JSON: {e}") from e
+    try:
+        if not isinstance(doc, dict):
+            raise TypeError(f"the top level is a {type(doc).__name__}, not an object")
+        yield doc
+    except ValidationError:
+        raise
+    except (KeyError, TypeError, AttributeError, ValueError) as e:
+        raise ValidationError(f"malformed {what} document: {e}") from e
 
 
 def json_int(doc: dict, key: str) -> int:

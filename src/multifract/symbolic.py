@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_document, json_int
 
 Word = tuple[int, ...]
 
@@ -254,23 +254,22 @@ class PrefixAutomaton:
 
     @classmethod
     def from_json(cls, text: str) -> "PrefixAutomaton":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid automaton JSON: {e}") from e
-        try:
-            m = json_int(doc, "alphabet")
-            states = tuple(str(s) for s in doc["states"])
-            initial = str(doc["initial"])
+        """The automaton of a document {"alphabet", "states", "initial", "transitions"}, names as strings."""
+        with json_document(text, "automaton") as doc:
+            m, states, initial = json_int(doc, "alphabet"), doc["states"], doc["initial"]
+            edges = doc["transitions"]
+            if type(states) is not list:  # not a string, which would read as one state per character
+                raise TypeError(f"states must be an array of names, got {states!r}")
+            for name in [*states, initial, *(t[end] for t in edges for end in ("from", "to"))]:
+                if type(name) is not str:
+                    raise TypeError(f"state names must be strings, got {name!r}")
             transitions = {}
-            for t in doc["transitions"]:
-                key = (str(t["from"]), json_int(t, "symbol"))
+            for t in edges:
+                key = (t["from"], json_int(t, "symbol"))
                 if key in transitions:
                     raise ValidationError(f"two transitions from state {key[0]!r} on symbol {key[1]}")
-                transitions[key] = str(t["to"])
-        except (KeyError, TypeError) as e:
-            raise ValidationError(f"malformed automaton document: {e}") from e
-        return cls(m=m, states=states, initial=initial, transitions=transitions)
+                transitions[key] = t["to"]
+            return cls(m=m, states=tuple(states), initial=initial, transitions=transitions)
 
     def to_json(self) -> str:
         doc = {
@@ -292,21 +291,17 @@ def prefix_count(automaton: PrefixAutomaton, k: int) -> int:
     return prefix_counts_up_to(automaton, k)[k]
 
 
-def spherically_symmetric(automaton: PrefixAutomaton, depth: int | None = None) -> bool:
+def spherically_symmetric(automaton: PrefixAutomaton) -> bool:
     """Whether all prefixes at every level have the same number of continuations.
 
     For a finite-state automaton the answer stabilizes once every reachable
     (level, state) pair has been seen, so checking ``len(states) + 1`` levels
-    is definitive; that is the default depth.
+    is definitive.
     """
-    if depth is None:
-        depth = len(automaton.states) + 1
-    if depth < 1:
-        raise ValidationError(f"depth must be >= 1, got {depth}")
     table = automaton.table.tolist()
     degree = [sum(1 for t in row if t >= 0) for row in table]
     level = {automaton.root}
-    for _ in range(depth):  # the states that the prefixes of one length reach
+    for _ in range(len(automaton.states) + 1):  # the states that the prefixes of one length reach
         if len({degree[s] for s in level}) > 1:
             return False
         level = {t for s in level for t in table[s] if t >= 0}

@@ -10,14 +10,13 @@ counter-based seeded generator.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .errors import ValidationError, json_int
+from .errors import ValidationError, json_document, json_int
 from .symbolic import check_word, lambda_partition, series_weights, transition_matrix
 
 if TYPE_CHECKING:  # thermo imports this module for BaseMeasure
@@ -132,19 +131,13 @@ class BaseMeasure:
     @classmethod
     def from_json(cls, text: str) -> "BaseMeasure":
         """The Markov law of a document {"m", "order", "initial", "kernel"} (:meth:`markov`)."""
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid measure JSON: {e}") from e
-        try:
+        with json_document(text, "measure") as doc:
             return cls.markov(
                 m=json_int(doc, "m"),
                 order=json_int(doc, "order"),
                 initial=np.asarray(doc["initial"], dtype=float),
                 kernel=np.asarray(doc["kernel"], dtype=float),
             )
-        except (KeyError, TypeError) as e:
-            raise ValidationError(f"malformed measure document: {e}") from e
 
     # -- reading the source --
 

@@ -17,7 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError, json_int
+from .errors import ConvergenceError, ValidationError, json_document, json_int
 from .symbolic import transition_matrix
 from .telescopic import BaseMeasure, markov_tree
 
@@ -125,6 +125,8 @@ class Potential:
     def from_values(cls, m: int, q: int, d: int, values) -> "Potential":
         """Build from a dict {symbol tuple: value} or an array."""
         if isinstance(values, dict):
+            if len(values) != m**d:  # before the m^d cells are allocated
+                raise ValidationError(f"table must have exactly {m ** d} entries, got {len(values)}")
             table = np.full((m,) * d, np.nan)
             for key, val in values.items():
                 table[tuple(key)] = val
@@ -136,28 +138,20 @@ class Potential:
 
     @classmethod
     def from_json(cls, text: str) -> "Potential":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid potential JSON: {e}") from e
-        try:
+        """The potential of a document {"m", "q", "d", "table": {"<d digits>": value}}."""
+        with json_document(text, "potential") as doc:
             m, q, d = (json_int(doc, key) for key in "mqd")
-            entries = doc["table"]
-        except (KeyError, TypeError) as e:
-            raise ValidationError(f"malformed potential document: {e}") from e
-        if m > 10:
-            raise ValidationError("string-keyed JSON tables support m <= 10")
-        values = {}
-        for key, val in entries.items():
-            if len(key) != d or not all(c.isdigit() for c in key):
-                raise ValidationError(f"bad table key {key!r}")
-            sym = tuple(int(c) for c in key)
-            if any(a >= m for a in sym):
-                raise ValidationError(f"table key {key!r} outside alphabet of size {m}")
-            values[sym] = float(val)
-        if len(values) != m**d:
-            raise ValidationError(f"table must have exactly {m ** d} entries, got {len(values)}")
-        return cls.from_values(m, q, d, values)
+            if m > 10:
+                raise ValidationError("string-keyed JSON tables support m <= 10")
+            values = {}
+            for key, val in doc["table"].items():
+                if len(key) != d or not all(c.isdigit() for c in key):
+                    raise ValidationError(f"bad table key {key!r}")
+                sym = tuple(int(c) for c in key)
+                if any(a >= m for a in sym):
+                    raise ValidationError(f"table key {key!r} outside alphabet of size {m}")
+                values[sym] = float(val)
+            return cls.from_values(m, q, d, values)
 
     def to_json(self) -> str:
         entries = {

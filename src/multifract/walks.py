@@ -20,12 +20,10 @@ from typing import Sequence
 import numpy as np
 
 from . import riesz
-from .errors import ConvergenceError, ValidationError, json_int
+from .errors import ConvergenceError, ValidationError, json_document, json_int
 from .symbolic import transition_matrix
 from .telescopic import BaseMeasure
-from .thermo import _GRAD_TOL, newton_slope
-
-OUT_OF_DOMAIN = float("nan")
+from .thermo import _GRAD_TOL, OUT_OF_DOMAIN, newton_slope
 
 _ROW_TOL = 1e-8  # most a row of the Perron chain Q may miss 1 by
 
@@ -60,11 +58,11 @@ class WalkSystem:
         power = np.linalg.matrix_power(tau, self.p)
         if np.max(np.abs(power - np.eye(tau.shape[0]))) >= 1e-10:
             raise ValidationError(f"tau^{self.p} is not the identity")
-        try:
-            steps = tuple(int(a) for a in self.steps)
+        try:  # a bool is dropped, so that true, like 1.5, is not read as the step 1
+            steps = tuple(int(a) for a in self.steps if not isinstance(a, (bool, np.bool_)))
         except (TypeError, ValueError, OverflowError):  # None, NaN, inf, text
             steps = None
-        if steps is None or steps != tuple(self.steps):  # 1.5 is not the step 1
+        if steps is None or steps != tuple(self.steps):
             raise ValidationError(f"steps must be integers, got {self.steps!r}")
         if not steps:
             raise ValidationError("step set must be nonempty")
@@ -113,23 +111,14 @@ class WalkSystem:
 
     @classmethod
     def from_json(cls, text: str) -> "WalkSystem":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as e:
-            raise ValidationError(f"invalid walk-system JSON: {e}") from e
-        try:
-            try:  # each step whole by the rule of `json_int`: 2.0 reads as 2, true and 1.5 fail
-                steps = tuple(json_int(doc["A"], i) for i in range(len(doc["A"])))
-            except ValidationError:
-                raise ValidationError(f"steps must be integers, got {tuple(doc['A'])!r}") from None
+        """The system of a document {"p", "tau", "v", "A": [steps]}; steps follow the constructor's rule."""
+        with json_document(text, "walk-system") as doc:
             return cls(
                 p=json_int(doc, "p"),
                 tau=np.asarray(doc["tau"], dtype=float),
                 v=np.asarray(doc["v"], dtype=float),
-                steps=steps,
+                steps=tuple(doc["A"]),
             )
-        except (KeyError, TypeError) as e:
-            raise ValidationError(f"malformed walk-system document: {e}") from e
 
     def to_json(self) -> str:
         return json.dumps(

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from multifract import cli, symbolic, telescopic, thermo
+from multifract import cli, symbolic, telescopic, thermo, walks
 
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -260,6 +260,14 @@ class TestWalkCommand:
         assert captured.out == ""
         assert captured.err == "error: walk takes --grid only without --alpha\n"
 
+    def test_grid_solves_each_s_once(self, monkeypatch, capsys):
+        # P and grad P were once two Perron solves per s, 242 on the default grid
+        calls, solve = [], walks.walk_pressure
+        monkeypatch.setattr(walks, "walk_pressure", lambda *args: calls.append(args) or solve(*args))
+        assert run(["walk", "--system", "case1", "--grid=-3:3:121"]) == 0
+        assert len(calls) == 121
+        assert len(capsys.readouterr().out.splitlines()) == 122
+
     def test_lost_perron_vector_is_numeric_error(self, tmp_path, capfd):
         # parity18 of tests/test_walks.py: at s = 50 the Perron vector is lost
         # to rounding, where the grid printed 50,nan,nan and exited 0
@@ -291,6 +299,61 @@ def test_non_integer_config_field_is_config_error(tmp_path, capfd, command):
     captured = capfd.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {field} must be an integer, got {doc[field]!r}\n"
+
+
+# each once ended in a traceback with exit 1 (the first five) or loaded without error (the states)
+MALFORMED_CONFIGS = [
+    pytest.param(["spectrum", "--grid=-1:1:3", "--config"], {"m": 2, "q": 2, "d": 2, "table": [1, 2, 3, 4]},
+                 id="table-array"),
+    pytest.param(["spectrum", "--grid=-1:1:3", "--config"],
+                 {"m": 2, "q": 2, "d": 2, "table": {"00": 0, "01": 1, "10": 1, "11": "x"}}, id="table-text"),
+    pytest.param(["sample", "--n", "5", "--measure"], {"m": 2, "order": 0, "initial": [1], "kernel": [[0.5, "a"]]},
+                 id="kernel-text"),
+    pytest.param(["sample", "--n", "5", "--measure"],
+                 {"m": 2, "order": 1, "initial": [0.5, 0.5], "kernel": [[0.5, 0.5], [1]]}, id="kernel-ragged"),
+    pytest.param(["walk", "--alpha", "0.3", "--system"], {"p": 2, "tau": [["a"]], "v": [1], "A": [0, 1]},
+                 id="tau-text"),
+    pytest.param(["dims", "--q", "2", "--config"],
+                 {"alphabet": 2, "states": "ab", "initial": "a",
+                  "transitions": [{"from": "a", "symbol": 0, "to": "b"}, {"from": "b", "symbol": 1, "to": "a"}]},
+                 id="states-string"),
+    pytest.param(["dims", "--q", "2", "--config"],
+                 {"alphabet": 2, "states": [1, 2], "initial": 1,
+                  "transitions": [{"from": 1, "symbol": 0, "to": 2}, {"from": 2, "symbol": 1, "to": 1}]},
+                 id="states-numbers"),
+    *(pytest.param([command, flag], [1, 2], id=f"{command}-top-level-array")
+      for command, flag in (("spectrum", "--config"), ("sample", "--measure"), ("walk", "--system"),
+                            ("dims", "--config"))),
+]
+
+
+@pytest.mark.parametrize("argv, doc", MALFORMED_CONFIGS)
+def test_malformed_config_is_config_error(tmp_path, capfd, argv, doc):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    assert run([*argv, str(path)]) == cli.EXIT_CONFIG
+    captured = capfd.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed ") and " document: " in err[0], captured.err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{}", b"[" * 100_000], ids=["not-utf8", "nested-too-deep"])
+def test_undecodable_config_is_config_error(tmp_path, capfd, content):
+    # each once ended in a traceback with exit 1
+    path = tmp_path / "config.json"
+    path.write_bytes(content)
+    assert run(["dims", "--config", str(path)]) == cli.EXIT_CONFIG
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
+
+
+def test_json_is_decoded_only_by_the_one_reader():
+    # errors.json_document owns the malformed-document rule; a loader that
+    # decoded JSON itself would need its own copy of it
+    readers = [path.name for path in sorted((ROOT / "src" / "multifract").glob("*.py"))
+               if "json.load" in path.read_text()]
+    assert readers == ["errors.py"]
 
 
 class TestSampleAndRiesz:

@@ -50,9 +50,10 @@ class TestWalkSystem:
         with pytest.raises(ValidationError, match="finite"):
             walks.WalkSystem(p=2, tau=np.array(tau), v=np.array(v), steps=(0, 1))
 
-    @pytest.mark.parametrize("steps", [(0, 1.5), (0.5, 1), (0, math.nan), (0, "1"), (0, None)])
+    @pytest.mark.parametrize("steps", [(0, 1.5), (0.5, 1), (0, math.nan), (0, "1"), (0, None),
+                                       (True, False), (np.True_, np.False_)])
     def test_rejects_non_integer_steps(self, steps):
-        # 1.5 was once read as the step 1
+        # 1.5 was once read as the step 1, and so was true
         with pytest.raises(ValidationError, match="steps must be integers"):
             walks.WalkSystem(p=2, tau=np.array([[-1.0]]), v=np.array([1.0]), steps=steps)
 
